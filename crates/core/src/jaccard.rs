@@ -59,10 +59,33 @@ impl JaccardEstimate {
 }
 
 /// Algorithm 4: Jaccard index of two sketches.
+///
+/// [`CollisionCorrection::None`] needs no cardinalities and computes
+/// none; the corrections estimate both with Algorithm 3 first.
 pub fn jaccard(
     a: &HyperMinHash,
     b: &HyperMinHash,
     correction: CollisionCorrection,
+) -> Result<JaccardEstimate, HmhError> {
+    let cardinalities = match correction {
+        CollisionCorrection::None => (0.0, 0.0),
+        CollisionCorrection::Approx | CollisionCorrection::Exact => {
+            (a.cardinality(), b.cardinality())
+        }
+    };
+    jaccard_with_cardinalities(a, b, correction, cardinalities)
+}
+
+/// Algorithm 4 with the two sketches' cardinalities already known, for
+/// callers that keep Algorithm 3's estimates (a store caches one per
+/// sketch). `(n, m)` feed only the collision correction; with
+/// `a.cardinality()` and `b.cardinality()` the result is bit-identical
+/// to [`jaccard`].
+pub fn jaccard_with_cardinalities(
+    a: &HyperMinHash,
+    b: &HyperMinHash,
+    correction: CollisionCorrection,
+    (n, m): (f64, f64),
 ) -> Result<JaccardEstimate, HmhError> {
     a.check_compatible(b)?;
     let params = a.params();
@@ -81,16 +104,8 @@ pub fn jaccard(
 
     let ec = match correction {
         CollisionCorrection::None => 0.0,
-        CollisionCorrection::Approx => {
-            let n = a.cardinality();
-            let m = b.cardinality();
-            approx_expected_collisions(params, n, m).unwrap_or(0.0)
-        }
-        CollisionCorrection::Exact => {
-            let n = a.cardinality();
-            let m = b.cardinality();
-            expected_collisions(params, n, m)
-        }
+        CollisionCorrection::Approx => approx_expected_collisions(params, n, m).unwrap_or(0.0),
+        CollisionCorrection::Exact => expected_collisions(params, n, m),
     };
 
     // The correction is derived for *disjoint* buckets; shared buckets
@@ -262,6 +277,31 @@ mod tests {
         let a = HyperMinHash::from_items(params, 0..1000u64);
         let est = jaccard(&a, &a.clone(), CollisionCorrection::None).unwrap();
         assert!(est.std_err() < 0.01, "{}", est.std_err());
+    }
+
+    #[test]
+    fn known_cardinalities_match_jaccard_bit_for_bit() {
+        for p in [4, 11, 15] {
+            let params = HmhParams::new(p, 6, 10).unwrap();
+            let (a, b) = pair(20_000, 5_000, params);
+            let known = (a.cardinality(), b.cardinality());
+            for correction in
+                [CollisionCorrection::None, CollisionCorrection::Approx, CollisionCorrection::Exact]
+            {
+                let want = jaccard(&a, &b, correction).unwrap();
+                let got = jaccard_with_cardinalities(&a, &b, correction, known).unwrap();
+                let bits = |e: &JaccardEstimate| {
+                    (
+                        e.estimate.to_bits(),
+                        e.raw.to_bits(),
+                        e.matching,
+                        e.occupied,
+                        e.expected_collisions.to_bits(),
+                    )
+                };
+                assert_eq!(bits(&got), bits(&want), "p={p} {correction:?}");
+            }
+        }
     }
 
     #[test]

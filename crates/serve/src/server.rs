@@ -34,8 +34,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use hmh_core::format;
-use hmh_core::{HmhParams, HyperMinHash};
+use hmh_core::format::{self, FormatError};
+use hmh_core::jaccard::jaccard_with_cardinalities;
+use hmh_core::{CollisionCorrection, HmhParams, HyperMinHash};
 use hmh_hash::RandomOracle;
 use hmh_store::{FileBackend, RetryPolicy, SketchStore, StoreError, StoreOptions, SCRUB_SLICE_BYTES};
 
@@ -561,24 +562,18 @@ fn handle_request(shared: &Shared, request: Request) -> (Response, Disposition) 
             let store = shared.store();
             match store.get_encoded(&name) {
                 Some(bytes) => Response::Sketch(bytes.to_vec()),
-                // A fenced name is typed, never a torn payload and never
-                // a silent NOT_FOUND that would let a caller conclude
-                // the data never existed.
-                None if store.is_quarantined(&name) => quarantined(&name),
-                None => not_found(&name),
+                None => absent(&store, &name),
             }
         }
-        Request::Card { name } => match decoded(shared, &name) {
-            Ok(sketch) => Response::Value(sketch.cardinality()),
-            Err(resp) => resp,
-        },
-        Request::Jaccard { a, b } => match (decoded(shared, &a), decoded(shared, &b)) {
-            (Ok(sa), Ok(sb)) => match sa.jaccard(&sb) {
-                Ok(j) => Response::Value(j.estimate),
-                Err(e) => Response::Err { code: ErrCode::Incompatible, message: e.to_string() },
-            },
-            (Err(resp), _) | (_, Err(resp)) => resp,
-        },
+        Request::Card { name } => {
+            let mut store = shared.store();
+            match store.get_estimated(&name) {
+                Some(Ok((estimate, _))) => Response::Value(estimate),
+                Some(Err(e)) => bad_sketch(e),
+                None => absent(&store, &name),
+            }
+        }
+        Request::Jaccard { a, b } => jaccard_op(shared, &a, &b),
         Request::List => Response::Names(shared.store().names().map(str::to_string).collect()),
         Request::ListPage { after } => {
             // A single daemon always answers its whole page; `partial`
@@ -638,6 +633,21 @@ fn sync_page(shared: &Shared, names: &[String]) -> Response {
     Response::Sketches(entries)
 }
 
+/// The reply for a read of a name with no stored payload. A fenced name
+/// is typed, never a torn payload and never a silent NOT_FOUND that
+/// would let a caller conclude the data never existed.
+fn absent(store: &SketchStore<FileBackend>, name: &str) -> Response {
+    if store.is_quarantined(name) {
+        quarantined(name)
+    } else {
+        not_found(name)
+    }
+}
+
+fn bad_sketch(e: impl std::fmt::Display) -> Response {
+    Response::Err { code: ErrCode::BadSketch, message: e.to_string() }
+}
+
 fn not_found(name: &str) -> Response {
     Response::Err { code: ErrCode::NotFound, message: format!("no sketch named {name:?}") }
 }
@@ -681,17 +691,29 @@ fn scrub_op(shared: &Shared, trigger: bool, after: &str) -> Response {
     })
 }
 
-// The Err variant is a ready-to-send Response (Health grew past the
-// clippy size bar); it is written to the socket immediately, never
-// propagated, so boxing would only add an allocation on the error path.
-#[allow(clippy::result_large_err)]
-fn decoded(shared: &Shared, name: &str) -> Result<HyperMinHash, Response> {
-    let store = shared.store();
-    let Some(bytes) = store.get_encoded(name) else {
-        return Err(if store.is_quarantined(name) { quarantined(name) } else { not_found(name) });
+/// JACCARD: decode both sketches under one store-lock hold and take
+/// their cached estimates for Algorithm 4's collision correction, then
+/// run the bucket loop after the lock is released.
+fn jaccard_op(shared: &Shared, a: &str, b: &str) -> Response {
+    let mut store = shared.store();
+    let mut read = |name: &str| {
+        store.get_estimated(name).map(|read| {
+            let (estimate, payload) = read?;
+            Ok::<_, FormatError>((format::decode(payload)?, estimate))
+        })
     };
-    format::decode(bytes)
-        .map_err(|e| Response::Err { code: ErrCode::BadSketch, message: e.to_string() })
+    let sides = (read(a), read(b));
+    let ((sa, ca), (sb, cb)) = match sides {
+        (Some(Ok(sa)), Some(Ok(sb))) => (sa, sb),
+        (None, _) => return absent(&store, a),
+        (Some(Err(e)), _) | (_, Some(Err(e))) => return bad_sketch(e),
+        (_, None) => return absent(&store, b),
+    };
+    drop(store);
+    match jaccard_with_cardinalities(&sa, &sb, CollisionCorrection::Approx, (ca, cb)) {
+        Ok(j) => Response::Value(j.estimate),
+        Err(e) => Response::Err { code: ErrCode::Incompatible, message: e.to_string() },
+    }
 }
 
 /// PUT and MERGE: validate before touching the store, refuse in
@@ -704,9 +726,7 @@ fn write_op(shared: &Shared, name: &str, payload: Vec<u8>, merge: bool) -> Respo
     // store error, and must not consume a write.
     let incoming = match format::decode(&payload) {
         Ok(sketch) => sketch,
-        Err(e) => {
-            return Response::Err { code: ErrCode::BadSketch, message: e.to_string() };
-        }
+        Err(e) => return bad_sketch(e),
     };
 
     let mut store = shared.store();
@@ -749,11 +769,11 @@ fn batch_put(
     // is a protocol-level error and must not consume a write.
     let params = match HmhParams::new(u32::from(p), u32::from(q), u32::from(r)) {
         Ok(params) => params,
-        Err(e) => return Response::Err { code: ErrCode::BadSketch, message: e.to_string() },
+        Err(e) => return bad_sketch(e),
     };
     let algorithm = match format::algorithm_from_byte(algorithm) {
         Ok(alg) => alg,
-        Err(e) => return Response::Err { code: ErrCode::BadSketch, message: e.to_string() },
+        Err(e) => return bad_sketch(e),
     };
     let oracle = RandomOracle::new(algorithm, seed);
 
@@ -773,9 +793,7 @@ fn batch_put(
             }
             existing
         }
-        Some(Err(e)) => {
-            return Response::Err { code: ErrCode::BadSketch, message: e.to_string() }
-        }
+        Some(Err(e)) => return bad_sketch(e),
         None => HyperMinHash::with_oracle(params, oracle),
     };
     let slices: Vec<&[u8]> = items.iter().map(Vec::as_slice).collect();

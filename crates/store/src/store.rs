@@ -185,12 +185,29 @@ enum ScrubFile {
     Wal,
 }
 
+/// One stored sketch: its `HMH1` payload and, once a read has asked for
+/// it, Algorithm 3's estimate of that payload. The estimate is a pure
+/// function of the payload and lives in the same value, so replacing or
+/// removing the entry drops it: it can never describe other bytes. It is
+/// never persisted and never computed at open or on write.
+#[derive(Debug)]
+struct Entry {
+    payload: Vec<u8>,
+    estimate: Option<f64>,
+}
+
+impl Entry {
+    fn new(payload: Vec<u8>) -> Self {
+        Self { payload, estimate: None }
+    }
+}
+
 /// A crash-safe, named collection of HyperMinHash sketches.
 #[derive(Debug)]
 pub struct SketchStore<B: Backend> {
     backend: B,
     dir: PathBuf,
-    entries: BTreeMap<String, Vec<u8>>,
+    entries: BTreeMap<String, Entry>,
     /// Known-good WAL length: bytes up to and including the last record
     /// this process successfully fsynced (or salvaged at open).
     wal_len: u64,
@@ -352,7 +369,7 @@ impl<B: Backend> SketchStore<B> {
     pub fn put_encoded(&mut self, name: &str, payload: &[u8]) -> Result<(), StoreError> {
         format::decode(payload)?;
         self.append_record(name, RecordKind::Put, payload)?;
-        self.entries.insert(name.to_string(), payload.to_vec());
+        self.entries.insert(name.to_string(), Entry::new(payload.to_vec()));
         self.release_quarantine(name);
         Ok(())
     }
@@ -361,7 +378,7 @@ impl<B: Backend> SketchStore<B> {
     pub fn put(&mut self, name: &str, sketch: &HyperMinHash) -> Result<(), StoreError> {
         let payload = format::encode(sketch);
         self.append_record(name, RecordKind::Put, &payload)?;
-        self.entries.insert(name.to_string(), payload);
+        self.entries.insert(name.to_string(), Entry::new(payload));
         self.release_quarantine(name);
         Ok(())
     }
@@ -370,7 +387,32 @@ impl<B: Backend> SketchStore<B> {
     /// hold no payload; callers that must distinguish "absent" from
     /// "fenced" check [`Self::is_quarantined`].
     pub fn get_encoded(&self, name: &str) -> Option<&[u8]> {
-        self.entries.get(name).map(Vec::as_slice)
+        self.entries.get(name).map(|entry| entry.payload.as_slice())
+    }
+
+    /// Algorithm 3's cardinality estimate of the sketch stored under
+    /// `name`, with the payload it was computed from. The first call
+    /// after the entry was written decodes the payload and walks its
+    /// registers; later calls return the cached value until a write or
+    /// removal replaces the entry. `None` exactly when
+    /// [`Self::get_encoded`] is `None`.
+    pub fn get_estimated(&mut self, name: &str) -> Option<Result<(f64, &[u8]), FormatError>> {
+        let entry = self.entries.get_mut(name)?;
+        let estimate = match entry.estimate {
+            Some(estimate) => {
+                debug_assert_eq!(
+                    format::decode(&entry.payload).map(|s| s.cardinality().to_bits()).ok(),
+                    Some(estimate.to_bits()),
+                    "cached estimate of {name:?} does not match its payload"
+                );
+                estimate
+            }
+            None => match format::decode(&entry.payload) {
+                Ok(sketch) => *entry.estimate.insert(sketch.cardinality()),
+                Err(e) => return Some(Err(e)),
+            },
+        };
+        Some(Ok((estimate, &entry.payload)))
     }
 
     /// Decoded sketch stored under `name`, if any. A quarantined name is
@@ -378,7 +420,7 @@ impl<B: Backend> SketchStore<B> {
     /// fenced until repaired.
     pub fn get(&self, name: &str) -> Result<Option<HyperMinHash>, StoreError> {
         match self.entries.get(name) {
-            Some(payload) => Ok(Some(format::decode(payload)?)),
+            Some(entry) => Ok(Some(format::decode(&entry.payload)?)),
             None if self.quarantine.contains(name) => {
                 Err(StoreError::CorruptQuarantined(name.to_string()))
             }
@@ -485,7 +527,7 @@ impl<B: Backend> SketchStore<B> {
         self.entries
             .range::<str, _>((Bound::Excluded(after), Bound::Unbounded))
             .take(limit)
-            .map(|(name, payload)| (name.clone(), xxh64(payload, DIGEST_SEED)))
+            .map(|(name, entry)| (name.clone(), xxh64(&entry.payload, DIGEST_SEED)))
             .collect()
     }
 
@@ -504,8 +546,8 @@ impl<B: Backend> SketchStore<B> {
     /// drops any corrupt bytes still sitting in the old files.
     pub fn compact(&mut self) -> Result<(), StoreError> {
         let mut snapshot = Vec::new();
-        for (name, payload) in &self.entries {
-            snapshot.extend(encode_record(name, RecordKind::Put, payload));
+        for (name, entry) in &self.entries {
+            snapshot.extend(encode_record(name, RecordKind::Put, &entry.payload));
         }
         let snapshot_path = self.dir.join(SNAPSHOT_FILE);
         let wal_path = self.dir.join(WAL_FILE);
@@ -714,10 +756,10 @@ impl<B: Backend> SketchStore<B> {
     }
 }
 
-fn apply(entries: &mut BTreeMap<String, Vec<u8>>, record: Record) {
+fn apply(entries: &mut BTreeMap<String, Entry>, record: Record) {
     match record.kind {
         RecordKind::Put => {
-            entries.insert(record.name, record.payload);
+            entries.insert(record.name, Entry::new(record.payload));
         }
         RecordKind::Tombstone => {
             entries.remove(&record.name);
@@ -770,6 +812,41 @@ mod tests {
         assert_eq!(s.get("a").unwrap().unwrap(), b);
         assert!(s.get("b").unwrap().is_none());
         assert_eq!(s.names().collect::<Vec<_>>(), ["a"]);
+    }
+
+    #[test]
+    fn writes_and_reopen_drop_the_cached_estimate() {
+        let mem = MemBackend::new();
+        let mut s = mem_store(&mem);
+        let cached = |s: &SketchStore<MemBackend>, name: &str| s.entries[name].estimate;
+        let estimate = |s: &mut SketchStore<MemBackend>, name: &str| {
+            let (estimate, _) = s.get_estimated(name).unwrap().unwrap();
+            estimate
+        };
+        let (a, b) = (sketch(0..100), sketch(0..300));
+
+        s.put("a", &a).unwrap();
+        assert_eq!(cached(&s, "a"), None, "writes never compute the estimate");
+        assert_eq!(estimate(&mut s, "a").to_bits(), a.cardinality().to_bits());
+        assert_eq!(cached(&s, "a").map(f64::to_bits), Some(a.cardinality().to_bits()));
+
+        s.put("a", &b).unwrap();
+        assert_eq!(cached(&s, "a"), None, "put drops the estimate");
+        assert_eq!(estimate(&mut s, "a").to_bits(), b.cardinality().to_bits());
+
+        s.put_encoded("a", &format::encode(&a)).unwrap();
+        assert_eq!(cached(&s, "a"), None, "put_encoded drops the estimate");
+        assert_eq!(estimate(&mut s, "a").to_bits(), a.cardinality().to_bits());
+
+        assert!(s.remove("a").unwrap());
+        assert!(s.get_estimated("a").is_none(), "remove drops the entry and its estimate");
+        s.put("a", &b).unwrap();
+        assert_eq!(cached(&s, "a"), None);
+
+        estimate(&mut s, "a");
+        drop(s);
+        let reopened = mem_store(&mem);
+        assert_eq!(cached(&reopened, "a"), None, "a reopened store caches nothing");
     }
 
     #[test]
