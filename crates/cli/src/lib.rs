@@ -815,11 +815,10 @@ fn cmd_client(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         return Err(CliError::usage("client needs at least one address"));
     }
     let addr = addrs[0];
-    let attempts = u32::try_from(addrs.len()).unwrap_or(u32::MAX).saturating_add(1);
     let mut client = hmh_serve::FailoverClient::with_options(
         &addrs,
         hmh_serve::ClientOptions { op_budget: budget, ..hmh_serve::ClientOptions::default() },
-        attempts,
+        hmh_serve::FailoverClient::default_attempts(addrs.len()),
     );
     let fail = |op: &str, e: hmh_serve::ClientError| CliError::runtime(format!("{op}: {e}"));
     match (op.as_str(), rest) {

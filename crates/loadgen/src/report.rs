@@ -43,7 +43,7 @@ pub fn classify<T>(result: &Result<T, ClientError>) -> Outcome {
         Err(ClientError::Busy) => Outcome::Busy,
         Err(ClientError::Expired) => Outcome::Expired,
         Err(ClientError::RetryBudgetExhausted) => Outcome::RetryExhausted,
-        Err(ClientError::BreakerOpen { .. }) => Outcome::Unavailable,
+        Err(ClientError::BreakerOpen { .. } | ClientError::PartialListing) => Outcome::Unavailable,
         Err(ClientError::Server { code: ErrCode::Unavailable, .. }) => Outcome::Unavailable,
         Err(
             ClientError::ReadOnly
@@ -229,7 +229,10 @@ mod tests {
     fn reply_slots_classify_like_whole_call_errors() {
         assert_eq!(classify_response(&Response::Ok), Outcome::Ok);
         assert_eq!(classify_response(&Response::Value(42.0)), Outcome::Ok);
-        assert_eq!(classify_response(&Response::Names(vec![])), Outcome::Ok);
+        assert_eq!(
+            classify_response(&Response::NamesPage { names: vec![], partial: false }),
+            Outcome::Ok
+        );
         assert_eq!(classify_response(&Response::Busy), Outcome::Busy);
         assert_eq!(classify_response(&Response::Expired), Outcome::Expired);
         assert_eq!(classify_response(&Response::ReadOnly), Outcome::TypedOther);

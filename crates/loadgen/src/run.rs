@@ -275,7 +275,7 @@ fn next_request(rng: &mut SplitMix64, opts: &LoadOptions, payload: &[u8]) -> Req
         Op::Put => Request::Put { name: key_name(key), sketch: payload.to_vec() },
         Op::Card => Request::Card { name: key_name(key) },
         Op::Jaccard => Request::Jaccard { a: key_name(key), b: key_name(key2) },
-        Op::List => Request::List,
+        Op::List => Request::ListPage { after: String::new() },
     }
 }
 
@@ -327,7 +327,7 @@ fn worker(
             Request::Put { name, .. } => classify(&client.put_raw(&name, payload)),
             Request::Card { name } => classify(&client.card(&name)),
             Request::Jaccard { a, b } => classify(&client.jaccard(&a, &b)),
-            _ => classify(&client.list()),
+            _ => classify(&client.list_page("")),
         };
         let latency_us = u64::try_from(op_start.elapsed().as_micros()).unwrap_or(u64::MAX);
         report.record(outcome, latency_us);

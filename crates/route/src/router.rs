@@ -330,12 +330,9 @@ struct ShardClients {
 
 impl ShardClients {
     fn new(shared: &Shared) -> Self {
-        let attempts = |n: usize| {
-            if shared.opts.shard_attempts == 0 {
-                u32::try_from(n).unwrap_or(u32::MAX).saturating_add(1)
-            } else {
-                shared.opts.shard_attempts
-            }
+        let attempts = |n: usize| match shared.opts.shard_attempts {
+            0 => FailoverClient::default_attempts(n),
+            fixed => fixed,
         };
         let groups = shared
             .ring
@@ -520,7 +517,6 @@ fn handle_request(
     }
     let resp = match request {
         Request::Jaccard { a, b } => jaccard(shared, shards, &a, &b),
-        Request::List => scatter_list(shared, shards),
         Request::ListPage { after } => scatter_list_page(shared, shards, &after),
         Request::Delete { name } => delete(shared, shards, &name),
         Request::Health => Response::Health(scatter_health(shared, shards)),
@@ -714,49 +710,7 @@ fn fetch_decoded(
     }
 }
 
-/// Legacy whole-store LIST: scatter across every group and union. The
-/// unpaginated form has no partial marker and no cursor, so it cannot
-/// degrade honestly — any unreachable group, or a union too large for
-/// one frame, is a typed error pointing at LIST_PAGE.
-fn scatter_list(shared: &Shared, shards: &mut ShardClients) -> Response {
-    let mut union = BTreeSet::new();
-    for group in 0..shared.ring.group_count() {
-        if !shared.liveness.should_attempt(group) {
-            return unavailable(shared, group, "group is in down-backoff; use LIST_PAGE");
-        }
-        match shards.groups[group].list() {
-            Ok(names) => {
-                shared.liveness.record(group, true);
-                union.extend(names);
-            }
-            Err(
-                e @ (ClientError::AllReplicasDown { .. }
-                | ClientError::Io(_)
-                | ClientError::BreakerOpen { .. }
-                | ClientError::RetryBudgetExhausted),
-            ) => {
-                shared.liveness.record(group, false);
-                return unavailable(shared, group, &format!("{e}; use LIST_PAGE"));
-            }
-            Err(e) => return respond(shared, group, Err(e)),
-        }
-    }
-    // Response::Names is encoded as status + u32 count + (u16+bytes)
-    // per name; refuse to build a frame the protocol cannot carry.
-    let encoded: usize = 5 + union.iter().map(|n| 2 + n.len()).sum::<usize>();
-    if encoded > shared.opts.max_frame.min(MAX_FRAME_LEN) {
-        return Response::Err {
-            code: ErrCode::TooLarge,
-            message: format!(
-                "{} names exceed one LIST frame; page with LIST_PAGE",
-                union.len()
-            ),
-        };
-    }
-    Response::Names(union.into_iter().collect())
-}
-
-/// Paginated LIST: ask every reachable group for its page after the
+/// LIST_PAGE: ask every reachable group for its page after the
 /// cursor, merge, and return the first [`MAX_LIST_NAMES`] of the union.
 ///
 /// Correctness of the cut: each group's page is the smallest names that
@@ -851,9 +805,9 @@ fn delete(shared: &Shared, shards: &mut ShardClients, name: &str) -> Response {
 /// group page omitted. `last_scrub_age_ms` aggregates as the *oldest*
 /// age across groups — the cluster has scrubbed only as recently as its
 /// most-stale shard — so a shard that never completed a pass keeps the
-/// cluster honest at `u64::MAX`. Like the legacy LIST, a report has no
-/// partial marker, so an unreachable group fails the scatter typed
-/// instead of understating the cluster's corruption.
+/// cluster honest at `u64::MAX`. A report has no partial marker, so an
+/// unreachable group fails the scatter typed instead of understating the
+/// cluster's corruption.
 fn scatter_scrub(
     shared: &Shared,
     shards: &mut ShardClients,

@@ -194,12 +194,10 @@ fn routed_ops_answer_what_the_owning_daemon_would() {
         via.get(&na).unwrap().jaccard(&via.get(&nb).unwrap()).unwrap().estimate;
     assert_eq!(via.jaccard(&na, &nb).unwrap(), expected);
 
-    // LIST and the paginated walk both cover exactly the put names.
+    // The whole-store list, a LIST_PAGE walk that refuses partial pages,
+    // covers exactly the put names.
     let listed: BTreeSet<String> = via.list().unwrap().into_iter().collect();
     assert_eq!(listed, names.iter().cloned().collect::<BTreeSet<_>>());
-    let (paged, partial) = list_all(&mut via);
-    assert_eq!(paged, listed);
-    assert!(!partial, "no group is down; the page walk must not be partial");
 
     // DELETE through the router removes the name from its group.
     via.delete(&na).unwrap();
@@ -268,15 +266,13 @@ fn partitioned_group_degrades_typed_and_bounded_never_hanging() {
         via.get(name).unwrap();
     }
 
-    // Legacy LIST cannot mark a gap, so it fails typed...
+    // A whole-store listing refuses to come back short, typed...
     match via.list() {
-        Err(ClientError::Server { code: ErrCode::Unavailable, message }) => {
-            assert!(message.contains("LIST_PAGE"), "no pagination hint: {message}");
-        }
-        other => panic!("whole-store LIST with a group down: {other:?}"),
+        Err(ClientError::PartialListing) => {}
+        other => panic!("whole-store list with a group down: {other:?}"),
     }
-    // ...while the paginated walk degrades to exactly the survivor's
-    // names, visibly marked partial.
+    // ...while the page walk degrades to exactly the survivor's names,
+    // visibly marked partial.
     let (paged, partial) = list_all(&mut via);
     assert!(partial, "a skipped group must mark the page partial");
     assert_eq!(paged, on_a.iter().map(|n| (*n).clone()).collect::<BTreeSet<_>>());

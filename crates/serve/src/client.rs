@@ -26,7 +26,8 @@ use hmh_store::RetryPolicy;
 use crate::proto::{
     decode_response, encode_request_budget, read_frame, write_frame, write_frames_vectored,
     DigestEntry, ErrCode, FrameError, Health, Request, Response, ScrubReport, SyncEntry,
-    MAX_BATCH_ITEMS, MAX_BUDGET_MS, MAX_FRAME_LEN, MAX_ITEM_LEN, MAX_PIPELINE_DEPTH,
+    MAX_BATCH_ITEMS, MAX_BUDGET_MS, MAX_FRAME_LEN, MAX_ITEM_LEN, MAX_LIST_NAMES,
+    MAX_PIPELINE_DEPTH,
 };
 
 /// A shared token-bucket retry budget (Finagle-style): retries across a
@@ -279,6 +280,9 @@ pub enum ClientError {
         /// Replicas considered (all skipped).
         replicas: usize,
     },
+    /// A LIST_PAGE walk met a page marked `partial`: a routing tier could
+    /// not reach every shard, so the whole-store list would be short.
+    PartialListing,
     /// A [`FailoverClient`] spent its whole attempt budget without any
     /// replica answering. Carries the budget and one error string per
     /// exhausted attempt (in rotation order) so the caller — a routing
@@ -316,6 +320,9 @@ impl std::fmt::Display for ClientError {
             }
             ClientError::BreakerOpen { replicas } => {
                 write!(f, "circuit breaker open on all {replicas} replicas; refusing to dial")
+            }
+            ClientError::PartialListing => {
+                write!(f, "listing is partial: a shard behind the router is unreachable")
             }
             ClientError::AllReplicasDown { attempts, last_errors } => {
                 write!(f, "all replicas down after {attempts} attempts")?;
@@ -456,11 +463,7 @@ impl Client {
 
     /// Store `sketch` under `name`, replacing any existing sketch.
     pub fn put(&mut self, name: &str, sketch: &HyperMinHash) -> Result<(), ClientError> {
-        let request = Request::Put { name: name.to_string(), sketch: format::encode(sketch) };
-        match self.request(&request)? {
-            Response::Ok => Ok(()),
-            other => Err(unexpected(other, name)),
-        }
+        self.acked(&Request::Put { name: name.to_string(), sketch: format::encode(sketch) }, name)
     }
 
     /// Ingest raw items into the sketch stored under `name` server-side,
@@ -518,20 +521,13 @@ impl Client {
 
     /// Fetch the sketch stored under `name`.
     pub fn get(&mut self, name: &str) -> Result<HyperMinHash, ClientError> {
-        match self.request(&Request::Get { name: name.to_string() })? {
-            Response::Sketch(bytes) => Ok(format::decode(&bytes)?),
-            other => Err(unexpected(other, name)),
-        }
+        Ok(format::decode(&self.get_raw(name)?)?)
     }
 
     /// Fold `sketch` into the sketch stored under `name` (creates it if
     /// absent).
     pub fn merge(&mut self, name: &str, sketch: &HyperMinHash) -> Result<(), ClientError> {
-        let request = Request::Merge { name: name.to_string(), sketch: format::encode(sketch) };
-        match self.request(&request)? {
-            Response::Ok => Ok(()),
-            other => Err(unexpected(other, name)),
-        }
+        self.acked(&Request::Merge { name: name.to_string(), sketch: format::encode(sketch) }, name)
     }
 
     /// Cardinality estimate of the sketch under `name`, computed
@@ -552,11 +548,29 @@ impl Client {
         }
     }
 
-    /// Names of every stored sketch.
+    /// Names of every stored sketch in sorted order, walked page by page
+    /// over LIST_PAGE. A whole-store listing never degrades silently: a
+    /// page marked `partial` fails the walk with
+    /// [`ClientError::PartialListing`] instead of returning a short list.
     pub fn list(&mut self) -> Result<Vec<String>, ClientError> {
-        match self.request(&Request::List)? {
-            Response::Names(names) => Ok(names),
-            other => Err(unexpected(other, "")),
+        let mut names: Vec<String> = Vec::new();
+        loop {
+            let after = names.last().cloned().unwrap_or_default();
+            let (page, partial) = self.list_page(&after)?;
+            if partial {
+                return Err(ClientError::PartialListing);
+            }
+            let last = page.len() < MAX_LIST_NAMES;
+            // A full page that does not move the cursor would loop forever.
+            if !last && page.last() <= Some(&after) {
+                return Err(ClientError::BadReply(format!(
+                    "LIST_PAGE did not advance past {after:?}"
+                )));
+            }
+            names.extend(page);
+            if last {
+                return Ok(names);
+            }
         }
     }
 
@@ -577,10 +591,7 @@ impl Client {
     /// rebalance release step; NOT_FOUND means this replica never held
     /// (or already released) the name.
     pub fn delete(&mut self, name: &str) -> Result<(), ClientError> {
-        match self.request(&Request::Delete { name: name.to_string() })? {
-            Response::Ok => Ok(()),
-            other => Err(unexpected(other, name)),
-        }
+        self.acked(&Request::Delete { name: name.to_string() }, name)
     }
 
     /// The server's health snapshot (queue depth, shed count, fsck
@@ -611,10 +622,7 @@ impl Client {
 
     /// Ask the daemon to drain and exit.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        match self.request(&Request::Shutdown)? {
-            Response::Ok => Ok(()),
-            other => Err(unexpected(other, "")),
-        }
+        self.acked(&Request::Shutdown, "")
     }
 
     /// One page of replication digests: `(name, checksum)` pairs for
@@ -647,11 +655,7 @@ impl Client {
     /// hostile peer payload dies there as a typed BAD_SKETCH, never as a
     /// local panic.
     pub fn merge_raw(&mut self, name: &str, payload: &[u8]) -> Result<(), ClientError> {
-        let request = Request::Merge { name: name.to_string(), sketch: payload.to_vec() };
-        match self.request(&request)? {
-            Response::Ok => Ok(()),
-            other => Err(unexpected(other, name)),
-        }
+        self.acked(&Request::Merge { name: name.to_string(), sketch: payload.to_vec() }, name)
     }
 
     /// Store an already-encoded sketch payload under `name`, replacing
@@ -659,10 +663,14 @@ impl Client {
     /// forwarded undecoded — the router's pass-through path; validation
     /// happens at the receiving server.
     pub fn put_raw(&mut self, name: &str, payload: &[u8]) -> Result<(), ClientError> {
-        let request = Request::Put { name: name.to_string(), sketch: payload.to_vec() };
-        match self.request(&request)? {
+        self.acked(&Request::Put { name: name.to_string(), sketch: payload.to_vec() }, name)
+    }
+
+    /// One request whose only success reply is OK.
+    fn acked(&mut self, request: &Request, context: &str) -> Result<(), ClientError> {
+        match self.request(request)? {
             Response::Ok => Ok(()),
-            other => Err(unexpected(other, name)),
+            other => Err(unexpected(other, context)),
         }
     }
 
@@ -672,34 +680,6 @@ impl Client {
     pub fn get_raw(&mut self, name: &str) -> Result<Vec<u8>, ClientError> {
         match self.request(&Request::Get { name: name.to_string() })? {
             Response::Sketch(bytes) => Ok(bytes),
-            other => Err(unexpected(other, name)),
-        }
-    }
-
-    /// Forward one already-validated BATCH_PUT frame verbatim: raw
-    /// configuration bytes and owned items, single frame, no re-chunking
-    /// — the router's pass-through path. Callers that build batches from
-    /// scratch should use [`Client::batch_put`], which validates and
-    /// chunks.
-    pub fn batch_put_raw(
-        &mut self,
-        name: &str,
-        (p, q, r): (u8, u8, u8),
-        algorithm: u8,
-        seed: u64,
-        items: &[Vec<u8>],
-    ) -> Result<(), ClientError> {
-        let request = Request::BatchPut {
-            name: name.to_string(),
-            p,
-            q,
-            r,
-            algorithm,
-            seed,
-            items: items.to_vec(),
-        };
-        match self.request(&request)? {
-            Response::Ok => Ok(()),
             other => Err(unexpected(other, name)),
         }
     }
@@ -1039,7 +1019,8 @@ fn unexpected(resp: Response, context: &str) -> ClientError {
 /// Failover is only sound because every operation is idempotent: PUT
 /// overwrites, MERGE folds a fixed payload into a max-register lattice
 /// (Algorithm 2's union — applying it twice is the same as once),
-/// BATCH_PUT re-inserts items into a sketch, and reads read. An
+/// BATCH_PUT folds in a sketch of fixed items the same way, and reads
+/// read. An
 /// ambiguous first attempt (request sent, reply lost) that actually
 /// committed is therefore indistinguishable from one that did not, and
 /// retrying against a *different* replica merely creates divergence that
@@ -1074,8 +1055,13 @@ impl FailoverClient {
     /// With an empty address list — a client with no one to call is a
     /// configuration bug, not a runtime state.
     pub fn connect(addrs: &[SocketAddr]) -> Self {
-        let attempts = u32::try_from(addrs.len()).unwrap_or(u32::MAX).saturating_add(1);
-        Self::with_options(addrs, ClientOptions::default(), attempts)
+        Self::with_options(addrs, ClientOptions::default(), Self::default_attempts(addrs.len()))
+    }
+
+    /// The default per-op attempt budget over `replicas` addresses: one
+    /// try per replica plus one.
+    pub fn default_attempts(replicas: usize) -> u32 {
+        u32::try_from(replicas).unwrap_or(u32::MAX).saturating_add(1)
     }
 
     /// Failover client with explicit per-replica options and a per-op
@@ -1118,11 +1104,6 @@ impl FailoverClient {
         self.replicas[self.current].addr()
     }
 
-    /// Replicas whose breaker is currently open (observability).
-    pub fn open_breakers(&self) -> usize {
-        self.breakers.iter().filter(|b| !b.admits(self.ops)).count()
-    }
-
     /// Store `sketch` under `name` on whichever replica answers.
     pub fn put(&mut self, name: &str, sketch: &HyperMinHash) -> Result<(), ClientError> {
         self.with_failover(|c| c.put(name, sketch))
@@ -1150,38 +1131,6 @@ impl FailoverClient {
     /// Fetch the sketch under `name` from whichever replica answers.
     pub fn get(&mut self, name: &str) -> Result<HyperMinHash, ClientError> {
         self.with_failover(|c| c.get(name))
-    }
-
-    /// Store an encoded payload under `name` on whichever replica
-    /// answers (see [`Client::put_raw`]).
-    pub fn put_raw(&mut self, name: &str, payload: &[u8]) -> Result<(), ClientError> {
-        self.with_failover(|c| c.put_raw(name, payload))
-    }
-
-    /// Fold an encoded payload into `name` on whichever replica answers
-    /// (see [`Client::merge_raw`]).
-    pub fn merge_raw(&mut self, name: &str, payload: &[u8]) -> Result<(), ClientError> {
-        self.with_failover(|c| c.merge_raw(name, payload))
-    }
-
-    /// Fetch the encoded payload under `name` from whichever replica
-    /// answers (see [`Client::get_raw`]).
-    pub fn get_raw(&mut self, name: &str) -> Result<Vec<u8>, ClientError> {
-        self.with_failover(|c| c.get_raw(name))
-    }
-
-    /// Forward one BATCH_PUT frame to whichever replica answers (see
-    /// [`Client::batch_put_raw`]); safe to replay across a failover
-    /// because item insertion is idempotent.
-    pub fn batch_put_raw(
-        &mut self,
-        name: &str,
-        widths: (u8, u8, u8),
-        algorithm: u8,
-        seed: u64,
-        items: &[Vec<u8>],
-    ) -> Result<(), ClientError> {
-        self.with_failover(|c| c.batch_put_raw(name, widths, algorithm, seed, items))
     }
 
     /// Submit a pipelined batch to whichever replica answers (see
@@ -1215,7 +1164,8 @@ impl FailoverClient {
         self.with_failover(|c| c.jaccard(a, b))
     }
 
-    /// Stored names from whichever replica answers.
+    /// Every stored name from whichever replica answers, walked to the
+    /// last page (see [`Client::list`]).
     pub fn list(&mut self) -> Result<Vec<String>, ClientError> {
         self.with_failover(|c| c.list())
     }

@@ -104,12 +104,11 @@ pub const MAX_DIGEST_ENTRIES: usize = 2048;
 /// and the caller re-requests the rest.
 pub const MAX_SYNC_NAMES: usize = 256;
 
-/// Maximum names one paginated `LIST` response carries — the same
-/// page contract as [`MAX_DIGEST_ENTRIES`]: names arrive in strictly
+/// Maximum names one `LIST_PAGE` response carries — the same page
+/// contract as [`MAX_DIGEST_ENTRIES`]: names arrive in strictly
 /// increasing order, a page shorter than the cap is the last page, and
 /// a worst-case page (max-length names) stays well under
-/// [`MAX_FRAME_LEN`]. The unpaginated `LIST` form survives as a fast
-/// path for small stores.
+/// [`MAX_FRAME_LEN`].
 pub const MAX_LIST_NAMES: usize = 2048;
 
 /// Maximum quarantined names one `SCRUB` response carries. The same
@@ -131,7 +130,9 @@ mod op {
     pub const MERGE: u8 = 3;
     pub const CARD: u8 = 4;
     pub const JACCARD: u8 = 5;
-    pub const LIST: u8 = 6;
+    // 6 was the unpaginated LIST, replaced by LIST_PAGE. It is never
+    // reused: an old client sending it gets a typed UNKNOWN_OP, not
+    // another op's reply.
     pub const HEALTH: u8 = 7;
     pub const SHUTDOWN: u8 = 8;
     pub const BATCH_PUT: u8 = 9;
@@ -147,7 +148,7 @@ mod status {
     pub const OK: u8 = 0;
     pub const SKETCH: u8 = 1;
     pub const VALUE: u8 = 2;
-    pub const NAMES: u8 = 3;
+    // 3 was NAMES, the unpaginated LIST reply; never reused.
     pub const HEALTH: u8 = 4;
     pub const DIGESTS: u8 = 5;
     pub const SKETCHES: u8 = 6;
@@ -282,9 +283,6 @@ pub enum Request {
         /// [`MAX_BATCH_ITEMS`] per frame.
         items: Vec<Vec<u8>>,
     },
-    /// All stored names in one frame (the small-store fast path; large
-    /// stores should page with [`Request::ListPage`]).
-    List,
     /// One page of stored names for bounded listing: names strictly
     /// greater than `after` (sorted), at most [`MAX_LIST_NAMES`] per
     /// page. An empty `after` starts from the first name; a page
@@ -525,8 +523,6 @@ pub enum Response {
     Sketch(Vec<u8>),
     /// A scalar estimate.
     Value(f64),
-    /// Stored names.
-    Names(Vec<String>),
     /// One page of stored names (the `LIST_PAGE` reply): at most
     /// [`MAX_LIST_NAMES`] names in strictly increasing order. `partial`
     /// is set by a scatter-gathering router when one or more shards
@@ -1056,7 +1052,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
                 push_name(&mut out, name);
             }
         }
-        Request::List => out.push(op::LIST),
         Request::ListPage { after } => {
             out.push(op::LIST_PAGE);
             push_cursor(&mut out, after);
@@ -1106,14 +1101,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         Response::Value(v) => {
             out.push(status::VALUE);
             out.extend_from_slice(&v.to_le_bytes());
-        }
-        Response::Names(names) => {
-            out.push(status::NAMES);
-            let count = u32::try_from(names.len()).expect("invariant: stored name count fits u32");
-            out.extend_from_slice(&count.to_le_bytes());
-            for name in names {
-                push_name(&mut out, name);
-            }
         }
         Response::NamesPage { names, partial } => {
             out.push(status::NAMES_PAGE);
@@ -1401,7 +1388,6 @@ pub fn decode_request_budget(body: &[u8]) -> Result<(Request, u32), ProtoError> 
             }
             Request::Sync { names }
         }
-        op::LIST => Request::List,
         op::LIST_PAGE => Request::ListPage { after: c.cursor()? },
         op::DELETE => Request::Delete { name: c.name()? },
         op::SCRUB => Request::Scrub { trigger: c.flag()?, after: c.cursor()? },
@@ -1420,16 +1406,6 @@ pub fn decode_response(body: &[u8]) -> Result<Response, ProtoError> {
         status::OK => Response::Ok,
         status::SKETCH => Response::Sketch(c.blob()?),
         status::VALUE => Response::Value(c.f64()?),
-        status::NAMES => {
-            let count = c.u32()? as usize;
-            // Bound the loop by bytes present: each name costs ≥ 3 bytes
-            // on the wire, so a lying count fails fast on Truncated.
-            let mut names = Vec::with_capacity(count.min(c.remaining() / 3 + 1));
-            for _ in 0..count {
-                names.push(c.name()?);
-            }
-            Response::Names(names)
-        }
         status::NAMES_PAGE => {
             let partial = c.flag()?;
             let count = usize::from(c.u16()?);
@@ -1575,7 +1551,6 @@ mod tests {
         round_trip_request(Request::Merge { name: "m".into(), sketch: vec![0; 1000] });
         round_trip_request(Request::Card { name: "c".into() });
         round_trip_request(Request::Jaccard { a: "x".into(), b: "y".into() });
-        round_trip_request(Request::List);
         round_trip_request(Request::ListPage { after: String::new() });
         round_trip_request(Request::ListPage { after: "resume-after-me".into() });
         round_trip_request(Request::Delete { name: "doomed".into() });
@@ -1657,8 +1632,6 @@ mod tests {
         round_trip_response(Response::Sketch(vec![9; 321]));
         round_trip_response(Response::Value(0.123456789));
         round_trip_response(Response::Value(f64::NAN.to_bits() as f64)); // bit-exact via to_le_bytes
-        round_trip_response(Response::Names(vec!["a".into(), "bb".into(), "ccc".into()]));
-        round_trip_response(Response::Names(Vec::new()));
         round_trip_response(Response::NamesPage {
             names: vec!["a".into(), "bb".into(), "ccc".into()],
             partial: false,
@@ -1722,12 +1695,12 @@ mod tests {
         let req = Request::Put { name: "frame".into(), sketch: vec![5; 100] };
         let mut wire = Vec::new();
         write_frame(&mut wire, &encode_request(&req)).unwrap();
-        write_frame(&mut wire, &encode_request(&Request::List)).unwrap();
+        write_frame(&mut wire, &encode_request(&Request::Health)).unwrap();
         let mut r = &wire[..];
         let one = read_frame(&mut r, MAX_FRAME_LEN).unwrap().unwrap();
         let two = read_frame(&mut r, MAX_FRAME_LEN).unwrap().unwrap();
         assert_eq!(decode_request(&one).unwrap(), req);
-        assert_eq!(decode_request(&two).unwrap(), Request::List);
+        assert_eq!(decode_request(&two).unwrap(), Request::Health);
         assert!(read_frame(&mut r, MAX_FRAME_LEN).unwrap().is_none(), "clean EOF");
     }
 
@@ -1765,7 +1738,7 @@ mod tests {
     fn adversarial_bodies_are_typed_errors() {
         // Version/opcode garbage.
         assert_eq!(decode_request(&[]), Err(ProtoError::Truncated { expected: 1, got: 0 }));
-        assert_eq!(decode_request(&[9, op::LIST]), Err(ProtoError::BadVersion(9)));
+        assert_eq!(decode_request(&[9, op::HEALTH]), Err(ProtoError::BadVersion(9)));
         assert_eq!(decode_request(&[PROTO_VERSION, 0xEE]), Err(ProtoError::UnknownOp(0xEE)));
         // Name length lies: claims 5000 (over cap) and 500 (unbacked).
         let mut b = vec![PROTO_VERSION, op::GET];
@@ -1800,14 +1773,11 @@ mod tests {
             Err(ProtoError::FieldTooLarge { got: MAX_ENCODED_LEN + 1, max: MAX_ENCODED_LEN })
         );
         // Trailing junk after a complete request.
-        let mut b = encode_request(&Request::List);
+        let mut b = encode_request(&Request::Health);
         b.push(0);
         assert_eq!(decode_request(&b), Err(ProtoError::TrailingBytes(1)));
-        // Response side: unknown status, lying name count.
+        // Response side: unknown status.
         assert_eq!(decode_response(&[0x33]), Err(ProtoError::UnknownStatus(0x33)));
-        let mut b = vec![3u8]; // NAMES
-        b.extend_from_slice(&1_000_000u32.to_le_bytes());
-        assert!(matches!(decode_response(&b), Err(ProtoError::Truncated { .. })));
     }
 
     #[test]
@@ -1973,7 +1943,6 @@ mod tests {
             Request::Jaccard { a: "x".into(), b: "y".into() },
             Request::Digest { after: String::new() },
             Request::Sync { names: vec!["s".into()] },
-            Request::List,
             Request::ListPage { after: "after".into() },
             Request::Delete { name: "d".into() },
             Request::Health,
@@ -2008,7 +1977,7 @@ mod tests {
     #[test]
     fn budget_adversarial_bodies_are_typed_errors() {
         // A budget over the cap must not buy an unbounded deadline.
-        let mut b = vec![PROTO_VERSION_BUDGET, op::LIST];
+        let mut b = vec![PROTO_VERSION_BUDGET, op::HEALTH];
         b.extend_from_slice(&(MAX_BUDGET_MS + 1).to_le_bytes());
         assert_eq!(
             decode_request_budget(&b),
@@ -2018,10 +1987,24 @@ mod tests {
             })
         );
         // A v2 header cut off mid-budget is Truncated, not misparsed.
-        let b = [PROTO_VERSION_BUDGET, op::LIST, 0x10, 0x00];
+        let b = [PROTO_VERSION_BUDGET, op::HEALTH, 0x10, 0x00];
         assert!(matches!(decode_request_budget(&b), Err(ProtoError::Truncated { .. })));
         // Unknown versions stay rejected; v2 is the only extension.
-        assert_eq!(decode_request_budget(&[3, op::LIST]), Err(ProtoError::BadVersion(3)));
+        assert_eq!(decode_request_budget(&[3, op::HEALTH]), Err(ProtoError::BadVersion(3)));
+    }
+
+    #[test]
+    fn retired_list_op_and_names_status_stay_unknown() {
+        // Opcode 6 (the unpaginated LIST) and status 3 (its NAMES reply)
+        // are reserved: both request forms, with and without a budget,
+        // and the old reply are typed refusals, never another message.
+        assert_eq!(decode_request(&[PROTO_VERSION, 6]), Err(ProtoError::UnknownOp(6)));
+        let mut b = vec![PROTO_VERSION_BUDGET, 6];
+        b.extend_from_slice(&250u32.to_le_bytes());
+        assert_eq!(decode_request_budget(&b), Err(ProtoError::UnknownOp(6)));
+        let mut b = vec![3u8];
+        b.extend_from_slice(&0u32.to_le_bytes());
+        assert_eq!(decode_response(&b), Err(ProtoError::UnknownStatus(3)));
     }
 
     #[test]

@@ -574,7 +574,6 @@ fn handle_request(shared: &Shared, request: Request) -> (Response, Disposition) 
             }
         }
         Request::Jaccard { a, b } => jaccard_op(shared, &a, &b),
-        Request::List => Response::Names(shared.store().names().map(str::to_string).collect()),
         Request::ListPage { after } => {
             // A single daemon always answers its whole page; `partial`
             // is a router-side marker for missing shards.
@@ -728,32 +727,19 @@ fn write_op(shared: &Shared, name: &str, payload: Vec<u8>, merge: bool) -> Respo
         Ok(sketch) => sketch,
         Err(e) => return bad_sketch(e),
     };
-
-    let mut store = shared.store();
-    let result = if merge {
-        match store.get_encoded(name).map(format::decode) {
-            // Existing sketch decodes: fold the incoming one in.
-            Some(Ok(mut existing)) => match existing.merge(&incoming) {
-                Ok(()) => store.put(name, &existing),
-                Err(e) => {
-                    return Response::Err { code: ErrCode::Incompatible, message: e.to_string() };
-                }
-            },
-            // No existing sketch: merge degenerates to put.
-            None => store.put_encoded(name, &payload),
-            Some(Err(e)) => Err(StoreError::Format(e)),
-        }
-    } else {
-        store.put_encoded(name, &payload)
-    };
-    drop(store);
+    if merge {
+        return fold(shared, name, &incoming, Some(&payload));
+    }
+    let result = shared.store().put_encoded(name, &payload);
     commit_result(shared, result)
 }
 
 /// BATCH_PUT: ingest a frame of raw items into the named sketch, creating
-/// it with the requested configuration if absent. Same write discipline
-/// as [`write_op`]: validate before touching the store, refuse in
-/// read-only mode, and trip read-only degradation on a store I/O error.
+/// it with the requested configuration if absent. The items are hashed
+/// into a fresh operand with no lock held, then folded in exactly as a
+/// MERGE of that operand: register max is associative, commutative and
+/// idempotent (Algorithm 2), so the stored bytes equal inserting the
+/// items into the stored sketch.
 fn batch_put(
     shared: &Shared,
     name: &str,
@@ -775,30 +761,34 @@ fn batch_put(
         Ok(alg) => alg,
         Err(e) => return bad_sketch(e),
     };
-    let oracle = RandomOracle::new(algorithm, seed);
-
-    // Hold the store lock across read-modify-write so concurrent batches
-    // to the same name serialize instead of losing updates.
-    let mut store = shared.store();
-    let mut sketch = match store.get_encoded(name).map(format::decode) {
-        Some(Ok(existing)) => {
-            if existing.params() != params || existing.oracle() != oracle {
-                return Response::Err {
-                    code: ErrCode::Incompatible,
-                    message: format!(
-                        "sketch {name:?} exists with a different configuration; \
-                         batch ingest cannot change parameters"
-                    ),
-                };
-            }
-            existing
-        }
-        Some(Err(e)) => return bad_sketch(e),
-        None => HyperMinHash::with_oracle(params, oracle),
-    };
+    let mut operand = HyperMinHash::with_oracle(params, RandomOracle::new(algorithm, seed));
     let slices: Vec<&[u8]> = items.iter().map(Vec::as_slice).collect();
-    sketch.insert_batch(&slices);
-    let result = store.put(name, &sketch);
+    operand.insert_batch(&slices);
+    fold(shared, name, &operand, None)
+}
+
+/// The one write fold behind MERGE and BATCH_PUT: under a single store
+/// lock hold, take the register-wise max of the stored sketch and
+/// `incoming`, or store `incoming` when `name` is absent. `wire` is the
+/// client's already-validated encoding of `incoming`, stored unchanged
+/// on create; without it the operand is encoded. A stored sketch with
+/// other params or another oracle is refused typed INCOMPATIBLE and
+/// left untouched.
+fn fold(shared: &Shared, name: &str, incoming: &HyperMinHash, wire: Option<&[u8]>) -> Response {
+    let mut store = shared.store();
+    let result = match store.get_encoded(name).map(format::decode) {
+        Some(Ok(mut existing)) => match existing.merge(incoming) {
+            Ok(()) => store.put(name, &existing),
+            Err(e) => {
+                return Response::Err { code: ErrCode::Incompatible, message: e.to_string() };
+            }
+        },
+        None => match wire {
+            Some(payload) => store.put_encoded(name, payload),
+            None => store.put(name, incoming),
+        },
+        Some(Err(e)) => Err(StoreError::Format(e)),
+    };
     drop(store);
     commit_result(shared, result)
 }

@@ -363,7 +363,8 @@ fn shutdown_drains_queued_connections_before_exit() {
     let queued: Vec<TcpStream> = (0..2)
         .map(|_| {
             let mut conn = raw(&handle);
-            write_frame(&mut conn, &encode_request(&Request::List)).unwrap();
+            let list = Request::ListPage { after: String::new() };
+            write_frame(&mut conn, &encode_request(&list)).unwrap();
             conn
         })
         .collect();
@@ -375,7 +376,7 @@ fn shutdown_drains_queued_connections_before_exit() {
         let body = read_frame(&mut conn, MAX_FRAME_LEN)
             .expect("queued connection answered during drain")
             .expect("reply frame, not EOF");
-        assert!(matches!(decode_response(&body).unwrap(), Response::Names(_)));
+        assert!(matches!(decode_response(&body).unwrap(), Response::NamesPage { .. }));
     }
     drop(staller);
     handle.join();
@@ -472,15 +473,64 @@ fn batch_put_round_trip_matches_local_build() {
     local.insert_batch(&slices);
     assert_eq!(c.get("batch").unwrap(), local, "server-side ingest matches a local build");
 
-    // A conflicting configuration on an existing name is refused.
+    // Seeded item sets, into an existing sketch or an absent name
+    // (`None`), for every batch size including the empty one: BATCH_PUT
+    // stores exactly the bytes that MERGE of a locally built operand
+    // stores, and that inserting the items locally gives.
+    let mut rng = SplitMix64::new(0xBA7C_4F01);
+    let mut seeded = |n: u64| -> Vec<Vec<u8>> {
+        (0..n).map(|_| format!("item-{}", rng.next_u64() % 6_000).into_bytes()).collect()
+    };
+    let cases = [(Some(3_000), 0), (Some(3_000), 1), (Some(3_000), 64), (Some(3_000), 20_000)];
+    for (round, (base, n)) in cases.into_iter().chain([(None, 500), (None, 0)]).enumerate() {
+        let (via_batch, via_merge) = (format!("eq-batch-{round}"), format!("eq-merge-{round}"));
+        let mut expected = HyperMinHash::with_oracle(params, oracle);
+        if let Some(base) = base {
+            expected = local_build(params, oracle, &seeded(base));
+            c.put(&via_batch, &expected).unwrap();
+            c.put(&via_merge, &expected).unwrap();
+        }
+        let items = seeded(n);
+        c.batch_put(&via_batch, params, oracle, &as_slices(&items)).unwrap();
+        c.merge(&via_merge, &local_build(params, oracle, &items)).unwrap();
+        expected.insert_batch(&as_slices(&items));
+        let stored = stored_bytes(&handle, &via_batch);
+        assert_eq!(stored, stored_bytes(&handle, &via_merge), "round {round}: BATCH_PUT != MERGE");
+        assert_eq!(stored, format::encode(&expected), "round {round}: BATCH_PUT != insert");
+    }
+
+    // Other params, or the same params under another oracle seed, are
+    // refused typed and leave the stored bytes untouched.
+    let before = stored_bytes(&handle, "batch");
     let other = HmhParams::new(6, 4, 4).unwrap();
-    match c.batch_put("batch", other, oracle, &[]) {
-        Err(ClientError::Server { code: ErrCode::Incompatible, .. }) => {}
-        other => panic!("conflicting config must be Incompatible, got {other:?}"),
+    for (params, oracle) in [(other, oracle), (params, RandomOracle::with_seed(8))] {
+        match c.batch_put("batch", params, oracle, &slices[..100]) {
+            Err(ClientError::Server { code: ErrCode::Incompatible, .. }) => {}
+            got => panic!("{params} / {oracle:?} must be Incompatible, got {got:?}"),
+        }
+        assert_eq!(stored_bytes(&handle, "batch"), before, "a refused batch changed the sketch");
     }
     drop(c);
     assert_still_healthy(&handle, "batch-roundtrip");
     handle.join();
+}
+
+fn as_slices(items: &[Vec<u8>]) -> Vec<&[u8]> {
+    items.iter().map(Vec::as_slice).collect()
+}
+
+fn local_build(params: HmhParams, oracle: RandomOracle, items: &[Vec<u8>]) -> HyperMinHash {
+    let mut sketch = HyperMinHash::with_oracle(params, oracle);
+    sketch.insert_batch(&as_slices(items));
+    sketch
+}
+
+/// The payload the daemon stores under `name`, as raw wire bytes.
+fn stored_bytes(handle: &ServerHandle, name: &str) -> Vec<u8> {
+    match exchange_raw(handle, &encode_request(&Request::Get { name: name.into() })) {
+        Response::Sketch(bytes) => bytes,
+        other => panic!("GET {name:?}: {other:?}"),
+    }
 }
 
 #[test]

@@ -425,7 +425,7 @@ fn pipelined_and_serial_streams_are_byte_identical() {
             1 => Request::Merge { name, sketch: format::encode(&sketch(lo, hi)) },
             2 => Request::Card { name },
             3 => Request::Get { name },
-            _ => Request::List,
+            _ => Request::ListPage { after: String::new() },
         }));
     }
 

@@ -123,8 +123,10 @@ fn exchange(addr: SocketAddr, request: &Request) -> Response {
 /// Every stored sketch on the daemon, as raw encoded bytes — the
 /// byte-identical convergence oracle.
 fn encoded_state(addr: SocketAddr) -> BTreeMap<String, Vec<u8>> {
-    let Response::Names(names) = exchange(addr, &Request::List) else {
-        panic!("LIST did not answer names");
+    // Test stores hold far fewer than MAX_LIST_NAMES: one page is all.
+    let list = Request::ListPage { after: String::new() };
+    let Response::NamesPage { names, partial: false } = exchange(addr, &list) else {
+        panic!("LIST_PAGE did not answer a whole page of names");
     };
     names
         .into_iter()
