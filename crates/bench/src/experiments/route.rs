@@ -15,7 +15,7 @@ use super::Config;
 use crate::table::{fnum, Table};
 use hmh_core::{HmhParams, HyperMinHash};
 use hmh_route::{route, Ring, RingConfig, RouteOptions};
-use hmh_serve::{serve, Client, ServeOptions};
+use hmh_serve::{serve, Client, FrontOptions, ServeOptions};
 use hmh_store::StoreOptions;
 
 /// Operations per measured pass.
@@ -48,7 +48,11 @@ fn temp_dir(tag: &str) -> TempDir {
 }
 
 fn daemon_opts() -> ServeOptions {
-    ServeOptions { workers: 2, store: StoreOptions::no_sleep(), ..ServeOptions::default() }
+    ServeOptions {
+        front: FrontOptions { workers: 2, ..FrontOptions::default() },
+        store: StoreOptions::no_sleep(),
+        ..ServeOptions::default()
+    }
 }
 
 /// Run the overhead measurement: a 2-group × 1-replica cluster, one

@@ -182,6 +182,36 @@ fn save(path: &str, sketch: &HyperMinHash) -> Result<(), CliError> {
         .map_err(|e| CliError::runtime(format!("cannot write {path}: {e}")))
 }
 
+/// The value following a flag at `args[i]`.
+fn need(args: &[String], i: usize, flag: &str) -> Result<String, CliError> {
+    args.get(i).cloned().ok_or_else(|| CliError::usage(format!("{flag} needs a value")))
+}
+
+/// Apply one of the connection front-end flags `serve` and `route serve`
+/// share (`--addr`, `--workers`, `--queue-depth`) found at `args[*i]`,
+/// advancing `*i` to its value. `Ok(false)` for any other argument.
+fn front_flag(
+    args: &[String],
+    i: &mut usize,
+    addr: &mut String,
+    front: &mut hmh_serve::FrontOptions,
+) -> Result<bool, CliError> {
+    let flag = args[*i].as_str();
+    let slot = match flag {
+        "--addr" => {
+            *i += 1;
+            *addr = need(args, *i, flag)?;
+            return Ok(true);
+        }
+        "--workers" => &mut front.workers,
+        "--queue-depth" => &mut front.queue_depth,
+        _ => return Ok(false),
+    };
+    *i += 1;
+    *slot = need(args, *i, flag)?.parse().map_err(|e| CliError::usage(format!("{flag}: {e}")))?;
+    Ok(true)
+}
+
 fn parse_algorithm(name: &str) -> Result<HashAlgorithm, CliError> {
     Ok(match name {
         "murmur3" => HashAlgorithm::Murmur3,
@@ -200,9 +230,6 @@ fn parse_sketch_config(args: &[String]) -> Result<(HmhParams, RandomOracle), Cli
     let mut seed = 0u64;
     let mut algorithm = HashAlgorithm::Murmur3;
     let mut i = 0;
-    let need = |args: &[String], i: usize, flag: &str| -> Result<String, CliError> {
-        args.get(i).cloned().ok_or_else(|| CliError::usage(format!("{flag} needs a value")))
-    };
     while i < args.len() {
         match args[i].as_str() {
             "-p" => {
@@ -244,9 +271,6 @@ fn cmd_sketch(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let mut input: Option<String> = None;
 
     let mut i = 0;
-    let need = |args: &[String], i: usize, flag: &str| -> Result<String, CliError> {
-        args.get(i).cloned().ok_or_else(|| CliError::usage(format!("{flag} needs a value")))
-    };
     while i < args.len() {
         match args[i].as_str() {
             "-p" => {
@@ -688,28 +712,9 @@ fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let mut opts = hmh_serve::ServeOptions::default();
     let mut peers: Vec<std::net::SocketAddr> = Vec::new();
     let mut sync_interval = std::time::Duration::from_secs(1);
-    let need = |args: &[String], i: usize, flag: &str| -> Result<String, CliError> {
-        args.get(i).cloned().ok_or_else(|| CliError::usage(format!("{flag} needs a value")))
-    };
     let mut i = 0;
     while i < rest.len() {
         match rest[i].as_str() {
-            "--addr" => {
-                i += 1;
-                addr = need(rest, i, "--addr")?;
-            }
-            "--workers" => {
-                i += 1;
-                opts.workers = need(rest, i, "--workers")?
-                    .parse()
-                    .map_err(|e| CliError::usage(format!("--workers: {e}")))?;
-            }
-            "--queue-depth" => {
-                i += 1;
-                opts.queue_depth = need(rest, i, "--queue-depth")?
-                    .parse()
-                    .map_err(|e| CliError::usage(format!("--queue-depth: {e}")))?;
-            }
             "--peer" => {
                 i += 1;
                 peers.push(resolve_addr(&need(rest, i, "--peer")?)?);
@@ -721,7 +726,11 @@ fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                     .map_err(|e| CliError::usage(format!("--sync-interval-ms: {e}")))?;
                 sync_interval = std::time::Duration::from_millis(ms.max(1));
             }
-            other => return Err(CliError::usage(format!("unexpected argument {other:?}"))),
+            other => {
+                if !front_flag(rest, &mut i, &mut addr, &mut opts.front)? {
+                    return Err(CliError::usage(format!("unexpected argument {other:?}")));
+                }
+            }
         }
         i += 1;
     }
@@ -990,31 +999,11 @@ fn cmd_route(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             let ring = load_ring(ring_file)?;
             let mut addr = "127.0.0.1:7800".to_string();
             let mut opts = hmh_route::RouteOptions::default();
-            let need = |args: &[String], i: usize, flag: &str| -> Result<String, CliError> {
-                args.get(i)
-                    .cloned()
-                    .ok_or_else(|| CliError::usage(format!("{flag} needs a value")))
-            };
             let mut i = 0;
             while i < flags.len() {
-                match flags[i].as_str() {
-                    "--addr" => {
-                        i += 1;
-                        addr = need(flags, i, "--addr")?;
-                    }
-                    "--workers" => {
-                        i += 1;
-                        opts.workers = need(flags, i, "--workers")?
-                            .parse()
-                            .map_err(|e| CliError::usage(format!("--workers: {e}")))?;
-                    }
-                    "--queue-depth" => {
-                        i += 1;
-                        opts.queue_depth = need(flags, i, "--queue-depth")?
-                            .parse()
-                            .map_err(|e| CliError::usage(format!("--queue-depth: {e}")))?;
-                    }
-                    other => return Err(CliError::usage(format!("unexpected argument {other:?}"))),
+                if !front_flag(flags, &mut i, &mut addr, &mut opts.front)? {
+                    let other = &flags[i];
+                    return Err(CliError::usage(format!("unexpected argument {other:?}")));
                 }
                 i += 1;
             }
@@ -1088,9 +1077,6 @@ fn parse_loadgen_flags(args: &[String]) -> Result<LoadgenFlags, CliError> {
         band: 0.7,
         min_speedup: None,
         json: None,
-    };
-    let need = |args: &[String], i: usize, flag: &str| -> Result<String, CliError> {
-        args.get(i).cloned().ok_or_else(|| CliError::usage(format!("{flag} needs a value")))
     };
     let mut i = 0;
     while i < args.len() {
@@ -1630,7 +1616,10 @@ mod tests {
         let handle = hmh_serve::serve(
             &sdir,
             "127.0.0.1:0",
-            hmh_serve::ServeOptions { workers: 2, ..hmh_serve::ServeOptions::default() },
+            hmh_serve::ServeOptions {
+                front: hmh_serve::FrontOptions { workers: 2, ..Default::default() },
+                ..hmh_serve::ServeOptions::default()
+            },
         )
         .unwrap();
         let addr = handle.addr().to_string();
@@ -1703,7 +1692,10 @@ mod tests {
         let a = build(&dir, "a", 0, 20_000);
 
         // Two single-replica shard daemons.
-        let opts = || hmh_serve::ServeOptions { workers: 2, ..hmh_serve::ServeOptions::default() };
+        let opts = || hmh_serve::ServeOptions {
+                front: hmh_serve::FrontOptions { workers: 2, ..Default::default() },
+                ..hmh_serve::ServeOptions::default()
+            };
         let n1 = hmh_serve::serve(dir.path("shard1"), "127.0.0.1:0", opts()).unwrap();
         let n2 = hmh_serve::serve(dir.path("shard2"), "127.0.0.1:0", opts()).unwrap();
         let ring1 = dir.path("ring1.txt");
@@ -1815,7 +1807,10 @@ mod tests {
         let handle = hmh_serve::serve(
             &sdir,
             "127.0.0.1:0",
-            hmh_serve::ServeOptions { workers: 2, ..hmh_serve::ServeOptions::default() },
+            hmh_serve::ServeOptions {
+                front: hmh_serve::FrontOptions { workers: 2, ..Default::default() },
+                ..hmh_serve::ServeOptions::default()
+            },
         )
         .unwrap();
         let addr = handle.addr().to_string();

@@ -8,12 +8,15 @@ use std::time::Duration;
 
 use hmh_core::{format, HmhParams, HyperMinHash};
 use hmh_route::{route, Ring, RingConfig, RouteOptions};
-use hmh_serve::{serve, ClientOptions, ServeOptions, ServerHandle, MAX_LIST_NAMES};
+use hmh_serve::{serve, ClientOptions, FrontOptions, ServeOptions, ServerHandle, MAX_LIST_NAMES};
 use hmh_store::{RetryPolicy, SketchStore, StoreOptions};
 
 fn start(dir: &std::path::Path) -> ServerHandle {
-    let opts =
-        ServeOptions { workers: 2, store: StoreOptions::no_sleep(), ..ServeOptions::default() };
+    let opts = ServeOptions {
+        front: FrontOptions { workers: 2, ..FrontOptions::default() },
+        store: StoreOptions::no_sleep(),
+        ..ServeOptions::default()
+    };
     serve(dir, "127.0.0.1:0", opts).unwrap()
 }
 

@@ -10,7 +10,7 @@
 use std::time::{Duration, Instant};
 
 use hmh_loadgen::{degradation_ok, sweep, LoadOptions, Mix, Pacing, run, SweepOptions};
-use hmh_serve::{serve, Client, ServeOptions};
+use hmh_serve::{serve, Client, FrontOptions, ServeOptions};
 use hmh_store::StoreOptions;
 
 struct TempDir(std::path::PathBuf);
@@ -38,8 +38,11 @@ fn start(dir: &TempDir) -> hmh_serve::ServerHandle {
         self_path(dir),
         "127.0.0.1:0",
         ServeOptions {
-            workers: 2,
-            queue_depth: 8,
+            front: FrontOptions {
+                workers: 2,
+                queue_depth: 8,
+                ..FrontOptions::default()
+            },
             store: StoreOptions::no_sleep(),
             ..ServeOptions::default()
         },

@@ -2,7 +2,10 @@
 //! replica groups.
 //!
 //! The router speaks the same wire protocol as a plain daemon, so every
-//! existing client works unchanged — it just answers from a cluster:
+//! existing client works unchanged — it just answers from a cluster. It
+//! runs the daemon's own connection front end ([`hmh_serve::front`]):
+//! the same accept queue, BUSY shedding, worker pool, pipelined batches,
+//! dispatch-time expiry and drain. Only the per-request answer differs:
 //!
 //! * **Name-keyed ops** (PUT, MERGE, BATCH_PUT, GET, CARD) forward to
 //!   the ring owner's replica group through a [`FailoverClient`]; a
@@ -11,16 +14,18 @@
 //! * **JACCARD** spanning two groups pulls both sketches and computes
 //!   the estimate in the router — the same arithmetic a daemon runs,
 //!   fed by two GETs.
-//! * **LIST/HEALTH** scatter-gather across all groups. The paginated
-//!   LIST degrades to a partial page (marked `partial: true`) when a
-//!   group is unreachable; the legacy whole-store LIST has no way to
-//!   mark a gap, so it fails typed instead of lying by omission.
+//! * **LIST_PAGE/HEALTH/SCRUB** scatter-gather across all groups.
+//!   LIST_PAGE degrades to a partial page (marked `partial: true`) when
+//!   a group is unreachable; HEALTH marks the missing group in its
+//!   per-group slots; SCRUB has no gap marker, so it fails typed.
 //! * **DELETE** fans out to *every* replica of the owning group —
 //!   deleting from one replica of a group is undone by the group's own
 //!   anti-entropy.
 //! * **DIGEST/SYNC** are refused: they are replica-to-replica
 //!   anti-entropy ops, and routing them to "the cluster" has no
 //!   meaning.
+//! * **SHUTDOWN** stops the router only; the daemons behind it keep
+//!   their own lifecycles.
 //!
 //! Group liveness reuses the replica crate's healthy → suspect → down
 //! ladder, one tracker per group, with down-state attempts backed off
@@ -28,18 +33,15 @@
 //! connect timeout.
 
 use std::collections::BTreeSet;
-use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread;
-use std::time::{Duration, Instant};
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 use hmh_replica::PeerTracker;
+use hmh_serve::front::{self, Disposition, FrontEnd, FrontHandle, FrontOptions, Handler};
 use hmh_serve::proto::{
-    decode_request_budget, encode_response, write_frame, write_frames_vectored, ErrCode,
-    FrameBuffer, FrameError, Health, Request, Response, ScrubReport, MAX_FRAME_LEN,
-    MAX_LIST_NAMES, MAX_PIPELINE_DEPTH, MAX_SCRUB_PAGE,
+    ErrCode, Health, Request, Response, ScrubReport, MAX_LIST_NAMES, MAX_SCRUB_PAGE,
 };
 use hmh_serve::{
     typed_response, Client, ClientError, ClientOptions, FailoverClient, RetryBudget,
@@ -47,22 +49,12 @@ use hmh_serve::{
 
 use crate::ring::Ring;
 
-/// How often blocked loops re-check the shutdown flag.
-const POLL_TICK: Duration = Duration::from_millis(5);
-
 /// Router configuration.
 #[derive(Debug, Clone)]
 pub struct RouteOptions {
-    /// Worker threads handling client connections.
-    pub workers: usize,
-    /// Accept-queue depth; connections beyond it are shed with BUSY.
-    pub queue_depth: usize,
-    /// Per-connection read deadline on the client side.
-    pub read_timeout: Duration,
-    /// Per-connection write deadline on the client side.
-    pub write_timeout: Duration,
-    /// Frame body ceiling for client frames.
-    pub max_frame: usize,
+    /// Client-facing connection front-end settings: workers, queue
+    /// depth, deadlines, frame cap.
+    pub front: FrontOptions,
     /// Options for the shard-facing clients. These deadlines are the
     /// per-shard budget: a scatter-gather waits at most one failed
     /// shard exchange per group, never unboundedly.
@@ -76,11 +68,7 @@ pub struct RouteOptions {
 impl Default for RouteOptions {
     fn default() -> Self {
         Self {
-            workers: 4,
-            queue_depth: 16,
-            read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
-            max_frame: MAX_FRAME_LEN,
+            front: FrontOptions::default(),
             shard: ClientOptions::default(),
             shard_attempts: 0, // 0 = one per replica plus one
             backoff_cap: hmh_replica::BACKOFF_CAP_ROUNDS,
@@ -158,17 +146,9 @@ impl Liveness {
 struct Shared {
     ring: Ring,
     liveness: Liveness,
-    /// Accepted connections stamped with their accept time, so dequeue
-    /// can expire requests whose deadline died waiting for a worker.
-    queue: Mutex<VecDeque<(TcpStream, Instant)>>,
-    wake: Condvar,
-    shutdown: AtomicBool,
-    shed: AtomicU64,
-    served: AtomicU64,
-    /// Requests answered EXPIRED by the router itself (dequeue-time) or
-    /// relayed from a shard's typed EXPIRED.
-    expired: AtomicU64,
-    active: AtomicU32,
+    /// The client-facing front end. Its `expired` counts requests the
+    /// router refused at dispatch and shard EXPIRED replies it relayed.
+    front: Arc<FrontEnd>,
     handoffs: Arc<AtomicU64>,
     /// Operations refused because a whole group's breakers were open;
     /// shared with every worker's `FailoverClient`s.
@@ -179,56 +159,39 @@ struct Shared {
     opts: RouteOptions,
 }
 
-impl Shared {
-    fn queue(&self) -> MutexGuard<'_, VecDeque<(TcpStream, Instant)>> {
-        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
 /// A running router. Same lifecycle surface as the daemon's
 /// `ServerHandle`: drop signals shutdown, [`RouterHandle::join`] drains.
 pub struct RouterHandle {
-    addr: SocketAddr,
-    shared: Arc<Shared>,
-    threads: Vec<thread::JoinHandle<()>>,
+    front: FrontHandle,
+    handoffs: Arc<AtomicU64>,
 }
 
 impl RouterHandle {
     /// The address actually bound.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.front.addr()
     }
 
     /// Signal shutdown without waiting.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.wake.notify_all();
+        self.front.shutdown();
     }
 
     /// Signal shutdown and wait for every thread to drain.
-    pub fn join(mut self) {
-        self.shutdown();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+    pub fn join(self) {
+        self.front.join();
     }
 
     /// True once every thread has exited (non-blocking).
     pub fn is_finished(&self) -> bool {
-        self.threads.iter().all(thread::JoinHandle::is_finished)
+        self.front.is_finished()
     }
 
     /// The handoff counter this router reports in HEALTH
     /// (`route_handoffs`). An in-process rebalance adds its completed
     /// copy-verify-release cycles here.
     pub fn handoffs(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.shared.handoffs)
-    }
-}
-
-impl Drop for RouterHandle {
-    fn drop(&mut self) {
-        self.shutdown();
+        Arc::clone(&self.handoffs)
     }
 }
 
@@ -238,10 +201,6 @@ pub fn route(
     addr: impl ToSocketAddrs,
     opts: RouteOptions,
 ) -> Result<RouterHandle, RouteError> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-
     // One retry budget for the whole router: every worker's shard
     // clients (and DELETE's per-replica clients) share it, so N workers
     // facing one sick group spend one bounded pool of retries.
@@ -253,65 +212,16 @@ pub fn route(
         .clone();
 
     let liveness = Liveness::new(&ring, opts.backoff_cap);
-    let shared = Arc::new(Shared {
+    let (front, shared) = front::start(addr, opts.front.clone(), "hmh-route", |front| Shared {
         ring,
         liveness,
-        queue: Mutex::new(VecDeque::new()),
-        wake: Condvar::new(),
-        shutdown: AtomicBool::new(false),
-        shed: AtomicU64::new(0),
-        served: AtomicU64::new(0),
-        expired: AtomicU64::new(0),
-        active: AtomicU32::new(0),
-        handoffs: Arc::new(AtomicU64::new(0)),
-        breaker_refusals: Arc::new(AtomicU64::new(0)),
+        front,
+        handoffs: Arc::default(),
+        breaker_refusals: Arc::default(),
         budget,
-        opts: opts.clone(),
-    });
-
-    let mut threads = Vec::with_capacity(opts.workers + 1);
-    let accept_shared = Arc::clone(&shared);
-    threads.push(
-        thread::Builder::new()
-            .name("hmh-route-accept".into())
-            .spawn(move || accept_loop(&accept_shared, &listener))?,
-    );
-    for i in 0..opts.workers.max(1) {
-        let worker_shared = Arc::clone(&shared);
-        threads.push(
-            thread::Builder::new()
-                .name(format!("hmh-route-worker-{i}"))
-                .spawn(move || worker_loop(&worker_shared))?,
-        );
-    }
-    Ok(RouterHandle { addr, shared, threads })
-}
-
-fn accept_loop(shared: &Shared, listener: &TcpListener) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => enqueue(shared, stream),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(POLL_TICK),
-            Err(_) => thread::sleep(POLL_TICK),
-        }
-    }
-    shared.wake.notify_all();
-}
-
-fn enqueue(shared: &Shared, stream: TcpStream) {
-    let mut queue = shared.queue();
-    if queue.len() >= shared.opts.queue_depth {
-        drop(queue);
-        shared.shed.fetch_add(1, Ordering::Relaxed);
-        let deadline = shared.opts.write_timeout.min(Duration::from_millis(100));
-        let _ = stream.set_write_timeout(Some(deadline));
-        let mut stream = stream;
-        let _ = write_frame(&mut stream, &encode_response(&Response::Busy));
-        return;
-    }
-    queue.push_back((stream, Instant::now()));
-    drop(queue);
-    shared.wake.notify_one();
+        opts,
+    })?;
+    Ok(RouterHandle { front, handoffs: Arc::clone(&shared.handoffs) })
 }
 
 /// Per-worker shard connections: one failover client per group, built
@@ -323,8 +233,8 @@ fn enqueue(shared: &Shared, stream: TcpStream) {
 struct ShardClients {
     groups: Vec<FailoverClient>,
     /// The caller deadline currently being propagated (set per request
-    /// by `handle_connection`, read wherever a fresh shard client is
-    /// built mid-request).
+    /// by `Shared::handle`, read wherever a fresh shard client is built
+    /// mid-request).
     deadline: Option<Instant>,
 }
 
@@ -359,161 +269,45 @@ impl ShardClients {
     }
 }
 
-fn worker_loop(shared: &Shared) {
-    let mut shards = ShardClients::new(shared);
-    loop {
-        let stream = {
-            let mut queue = shared.queue();
-            loop {
-                if let Some(stream) = queue.pop_front() {
-                    break Some(stream);
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break None;
-                }
-                let (guard, _timeout) = shared
-                    .wake
-                    .wait_timeout(queue, POLL_TICK)
-                    .unwrap_or_else(PoisonError::into_inner);
-                queue = guard;
-            }
-        };
-        let Some((stream, queued_at)) = stream else { return };
-        shared.active.fetch_add(1, Ordering::SeqCst);
-        handle_connection(shared, &mut shards, stream, queued_at);
-        shared.active.fetch_sub(1, Ordering::SeqCst);
+impl Handler for Shared {
+    type Worker = ShardClients;
+
+    fn worker(&self) -> ShardClients {
+        ShardClients::new(self)
+    }
+
+    /// Every inbound frame — expired and unparseable ones included — is
+    /// one liveness round.
+    fn frame_received(&self) {
+        self.liveness.round.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn handle(
+        &self,
+        shards: &mut ShardClients,
+        request: Request,
+        deadline: Option<Instant>,
+    ) -> (Response, Disposition) {
+        // Every scatter-gather leg stamps the caller's *remaining* time,
+        // so fan-out never outlives them.
+        shards.set_deadline(deadline);
+        handle_request(self, shards, request)
     }
 }
 
-fn handle_connection(
-    shared: &Shared,
-    shards: &mut ShardClients,
-    mut stream: TcpStream,
-    queued_at: Instant,
-) {
-    if stream.set_read_timeout(Some(shared.opts.read_timeout)).is_err()
-        || stream.set_write_timeout(Some(shared.opts.write_timeout)).is_err()
-    {
-        return;
-    }
-    let _ = stream.set_nodelay(true);
-
-    // Pipelined inbound loop, mirroring the daemon's: gather a batch —
-    // first frame blocking, then whatever else has already arrived, up
-    // to MAX_PIPELINE_DEPTH — process strictly in receipt order, flush
-    // all replies as one vectored write. A client that never pipelines
-    // degenerates to batches of one. Bounded by the socket deadlines,
-    // EOF, and the shutdown flag.
-    let mut frames = FrameBuffer::new();
-    let mut first_batch = true;
-    loop {
-        let first = match frames.read_frame_buffered(&mut stream, shared.opts.max_frame) {
-            Ok(Some(body)) => body,
-            Ok(None) | Err(FrameError::Io(_)) => return,
-            Err(FrameError::TooLarge { got, max }) => {
-                let resp = Response::Err {
-                    code: ErrCode::TooLarge,
-                    message: format!("frame length {got} exceeds maximum {max}"),
-                };
-                let _ = write_frame(&mut stream, &encode_response(&resp));
-                return;
-            }
-        };
-
-        // Deadline propagation. Every frame of the *first* batch started
-        // burning at accept — a pipelined burst waits in the kernel
-        // while the connection waits in the queue; later batches burn
-        // from their own receipt, since inter-batch time is client
-        // think-time, not queueing.
-        let batch_epoch = if first_batch { queued_at } else { Instant::now() };
-        first_batch = false;
-
-        let mut batch = vec![first];
-        let mut poison: Option<Response> = None;
-        // Frames already buffered still deserve answers if this fails;
-        // the error resurfaces on the flush or the next blocking read.
-        let _ = frames.fill_nonblocking(&stream);
-        while batch.len() < MAX_PIPELINE_DEPTH {
-            match frames.take_frame(shared.opts.max_frame) {
-                Ok(Some(body)) => batch.push(body),
-                Ok(None) => break,
-                Err(FrameError::TooLarge { got, max }) => {
-                    // The lying prefix poisons the tail; earlier frames
-                    // in the batch still get their replies below.
-                    poison = Some(Response::Err {
-                        code: ErrCode::TooLarge,
-                        message: format!("frame length {got} exceeds maximum {max}"),
-                    });
-                    break;
-                }
-                // take_frame never touches the transport; satisfy the
-                // type by treating an Io as "no more frames".
-                Err(FrameError::Io(_)) => break,
-            }
-        }
-
-        let mut replies: Vec<Vec<u8>> = Vec::with_capacity(batch.len());
-        let mut close = false;
-        for body in batch {
-            shared.liveness.round.fetch_add(1, Ordering::Relaxed);
-            match decode_request_budget(&body) {
-                Ok((request, budget_ms)) => {
-                    let total = Duration::from_millis(u64::from(budget_ms));
-                    // Per-frame expiry at dispatch time: work done for
-                    // earlier frames of the batch counts against this
-                    // frame's budget, and an expired frame burns alone.
-                    if budget_ms > 0 && batch_epoch.elapsed() >= total {
-                        shared.expired.fetch_add(1, Ordering::Relaxed);
-                        replies.push(encode_response(&Response::Expired));
-                        continue;
-                    }
-                    // Every scatter-gather leg below stamps the caller's
-                    // *remaining* time, so fan-out never outlives them.
-                    let deadline = (budget_ms > 0).then(|| batch_epoch + total);
-                    shards.set_deadline(deadline);
-                    let (resp, close_after) = handle_request(shared, shards, request);
-                    replies.push(encode_response(&resp));
-                    if close_after {
-                        close = true;
-                        break;
-                    }
-                }
-                Err(e) => {
-                    // Parse failures poison the tail; replies already
-                    // queued for earlier frames flush below.
-                    poison =
-                        Some(Response::Err { code: e.code(), message: e.to_string() });
-                    break;
-                }
-            }
-        }
-        if let Some(resp) = poison {
-            replies.push(encode_response(&resp));
-            close = true;
-        }
-
-        let flushed = write_frames_vectored(&mut stream, &replies).is_ok();
-        shared.served.fetch_add(replies.len() as u64, Ordering::Relaxed);
-        if !flushed || close || shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-    }
-}
-
-/// Dispatch one request. The bool is "close the connection after
-/// answering" (parse errors and SHUTDOWN).
+/// Dispatch one request.
 fn handle_request(
     shared: &Shared,
     shards: &mut ShardClients,
     request: Request,
-) -> (Response, bool) {
+) -> (Response, Disposition) {
     // Name-keyed ops forward verbatim to the owner group over the
     // pipelined submission path — the request frame was just decoded
     // off this router's wire and goes back out byte-equivalent, so
     // there is nothing to re-derive per op.
     if let Some(name) = forward_key(&request) {
         let name = name.to_string();
-        return (forward(shared, shards, &name, &request), false);
+        return (forward(shared, shards, &name, &request), Disposition::KeepAlive);
     }
     let resp = match request {
         Request::Jaccard { a, b } => jaccard(shared, shards, &a, &b),
@@ -529,14 +323,9 @@ fn handle_request(
             code: ErrCode::UnknownOp,
             message: "SYNC is replica-to-replica anti-entropy; routers do not serve it".into(),
         },
-        Request::Shutdown => {
-            // Stops the *router*, not the shards: the daemons behind it
-            // have their own lifecycles and other routers may be using
-            // them.
-            shared.shutdown.store(true, Ordering::SeqCst);
-            shared.wake.notify_all();
-            return (Response::Ok, true);
-        }
+        // Stops the *router*, not the shards: the daemons behind it
+        // have their own lifecycles and other routers may be using them.
+        Request::Shutdown => return (Response::Ok, Disposition::Shutdown),
         // Name-keyed ops were forwarded above; the arm exists only to
         // keep the match exhaustive without a panic path.
         Request::Put { .. }
@@ -548,7 +337,7 @@ fn handle_request(
             message: "name-keyed op fell through the forward path".into(),
         },
     };
-    (resp, false)
+    (resp, Disposition::KeepAlive)
 }
 
 /// The owner-keyed name of an op the router forwards verbatim to one
@@ -628,7 +417,7 @@ fn respond(shared: &Shared, group: usize, result: Result<Response, ClientError>)
         // answer — and the refusal relays typed to the caller.
         Err(ClientError::Expired) => {
             shared.liveness.record(group, true);
-            shared.expired.fetch_add(1, Ordering::Relaxed);
+            shared.front.count_expired();
             Response::Expired
         }
         // Bounded refusals from the resilience layer: the group already
@@ -900,22 +689,14 @@ fn scatter_health(shared: &Shared, shards: &mut ShardClients) -> Health {
     let round = shared.liveness.round.load(Ordering::Relaxed);
     let peers =
         (0..shared.ring.group_count()).map(|g| shared.liveness.tracker(g).health(round)).collect();
+    let front = shared.front.health();
     Health {
         read_only,
-        workers: u32::try_from(shared.opts.workers).unwrap_or(u32::MAX),
-        queue_capacity: u32::try_from(shared.opts.queue_depth).unwrap_or(u32::MAX),
-        queue_depth: u32::try_from(shared.queue().len()).unwrap_or(u32::MAX),
-        active: shared.active.load(Ordering::SeqCst),
-        shed: shared.shed.load(Ordering::Relaxed),
-        served: shared.served.load(Ordering::Relaxed),
         sketches,
         store_clean,
-        quarantined: 0,
-        truncated_tail: false,
-        rounds: 0,
         route_epoch: shared.ring.epoch(),
         route_handoffs: shared.handoffs.load(Ordering::Relaxed),
-        expired: shared.expired.load(Ordering::Relaxed).saturating_add(expired_sum),
+        expired: front.expired.saturating_add(expired_sum),
         retry_exhausted: shared.budget.exhausted().saturating_add(retry_sum),
         breaker_open: shared.breaker_refusals.load(Ordering::Relaxed).saturating_add(breaker_sum),
         scrub_rounds,
@@ -925,6 +706,7 @@ fn scatter_health(shared: &Shared, shards: &mut ShardClients) -> Health {
         scrub_quarantined,
         last_scrub_age_ms,
         peers,
+        ..front
     }
 }
 

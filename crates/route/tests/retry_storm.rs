@@ -23,8 +23,8 @@ use std::time::{Duration, Instant};
 use hmh_core::{HmhParams, HyperMinHash};
 use hmh_route::{route, Ring, RingConfig, RouteOptions};
 use hmh_serve::{
-    serve, Client, ClientError, ClientOptions, ErrCode, FailoverClient, Request, Response,
-    ServeOptions, ServerHandle,
+    serve, Client, ClientError, ClientOptions, ErrCode, FailoverClient, FrontOptions, Request,
+    Response, ServeOptions, ServerHandle,
 };
 use hmh_store::{RetryPolicy, StoreOptions};
 
@@ -50,10 +50,13 @@ fn start(dir: &TempDir) -> ServerHandle {
         &dir.0,
         "127.0.0.1:0",
         ServeOptions {
-            workers: 2,
-            queue_depth: 32,
-            read_timeout: Duration::from_millis(500),
-            write_timeout: Duration::from_millis(500),
+            front: FrontOptions {
+                workers: 2,
+                queue_depth: 32,
+                read_timeout: Duration::from_millis(500),
+                write_timeout: Duration::from_millis(500),
+                ..FrontOptions::default()
+            },
             store: StoreOptions::no_sleep(),
             ..ServeOptions::default()
         },

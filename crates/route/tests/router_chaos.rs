@@ -26,7 +26,7 @@ use hmh_route::{
     rebalance, route, RebalanceOptions, Ring, RingConfig, RouteOptions, RouterHandle,
 };
 use hmh_serve::{
-    serve, Client, ClientError, ClientOptions, ErrCode, ServeOptions, ServerHandle,
+    serve, Client, ClientError, ClientOptions, ErrCode, FrontOptions, ServeOptions, ServerHandle,
 };
 use hmh_store::{RetryPolicy, StoreOptions};
 
@@ -52,10 +52,13 @@ fn start(dir: &TempDir) -> ServerHandle {
         &dir.0,
         "127.0.0.1:0",
         ServeOptions {
-            workers: 2,
-            queue_depth: 32,
-            read_timeout: Duration::from_millis(500),
-            write_timeout: Duration::from_millis(500),
+            front: FrontOptions {
+                workers: 2,
+                queue_depth: 32,
+                read_timeout: Duration::from_millis(500),
+                write_timeout: Duration::from_millis(500),
+                ..FrontOptions::default()
+            },
             store: StoreOptions::no_sleep(),
             ..ServeOptions::default()
         },
@@ -443,4 +446,35 @@ fn crashed_and_duplicated_handoffs_are_absorbed() {
     ));
 
     nodes.into_iter().for_each(ServerHandle::join);
+}
+
+/// Drain never waits out an idle keep-alive connection's read deadline
+/// (5 s by default). The daemon joins while the router still holds its
+/// pooled shard connection open, then the router joins while a client
+/// holds an idle connection to it.
+#[test]
+fn drain_hangs_up_idle_keep_alive_connections_promptly() {
+    let dir = TempDir::new("drain-idle");
+    let opts = ServeOptions { store: StoreOptions::no_sleep(), ..ServeOptions::default() };
+    let node = serve(&dir.0, "127.0.0.1:0", opts).unwrap();
+    let router = route(
+        ring_of(1, &[("g", &[node.addr()])]),
+        "127.0.0.1:0",
+        RouteOptions { shard: shard_opts(), ..RouteOptions::default() },
+    )
+    .unwrap();
+    let mut idle = client(router.addr());
+    idle.put("idle", &sketch(0, 100)).unwrap();
+    assert_eq!(idle.get("idle").unwrap(), sketch(0, 100));
+
+    let started = Instant::now();
+    node.join();
+    let waited = started.elapsed();
+    assert!(waited < Duration::from_secs(1), "daemon drain waited {waited:?} behind a router");
+
+    let started = Instant::now();
+    router.join();
+    let waited = started.elapsed();
+    assert!(waited < Duration::from_secs(1), "router drain waited {waited:?} behind a client");
+    drop(idle);
 }

@@ -1,10 +1,12 @@
 //! A hardened TCP service over the crash-safe sketch store.
 //!
 //! `hmh-serve` is deliberately dependency-free (`std::net` only): a
-//! length-prefixed binary protocol ([`proto`]), a daemon with a bounded
-//! worker pool, per-connection deadlines, explicit load shedding and
+//! length-prefixed binary protocol ([`proto`]), a connection front end
+//! with a bounded worker pool, per-connection deadlines, explicit load
+//! shedding and pipelining ([`front`]), a daemon over the store with
 //! read-only degradation ([`server`]), and a client with jittered,
-//! budgeted backoff ([`client`]).
+//! budgeted backoff ([`client`]). The routing tier (`hmh-route`) runs the
+//! same front end.
 //!
 //! The threat model assumed throughout: the network is untrusted.
 //! Length fields from the wire never drive unbounded allocation (frames
@@ -32,9 +34,11 @@
 #![forbid(unsafe_code)]
 
 pub mod client;
+pub mod front;
 pub mod proto;
 pub mod server;
 
+pub use front::FrontOptions;
 pub use client::{
     typed_response, Breaker, Client, ClientError, ClientOptions, FailoverClient, RetryBudget,
 };

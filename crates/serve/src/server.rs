@@ -1,15 +1,9 @@
-//! The `hmh-serve` daemon: a bounded, deadlined TCP front over the store.
+//! The `hmh-serve` daemon: the store behind the shared connection front
+//! end ([`crate::front`]), which owns backpressure, deadlines,
+//! pipelining and drain.
 //!
 //! Failure behavior is the design, not an afterthought:
 //!
-//! * **Backpressure, not queues without end.** A fixed worker pool pulls
-//!   connections from a fixed-depth accept queue. When the queue is
-//!   full, the accept loop *sheds* the connection — a best-effort BUSY
-//!   frame, then close — instead of queueing unboundedly. Clients treat
-//!   BUSY as transient and back off (see [`crate::client`]).
-//! * **Deadlines everywhere.** Every connection gets read and write
-//!   timeouts, so a slow-loris peer costs a worker at most one deadline,
-//!   never forever.
 //! * **Typed errors, never panics.** Malformed frames get a typed ERR
 //!   response and a closed connection; the request handlers return
 //!   [`Response`] values for every input.
@@ -21,16 +15,16 @@
 //!   (or the restart fsck) looks at it.
 //! * **Drain, then exit.** Shutdown (the SHUTDOWN op, or
 //!   [`ServerHandle::shutdown`]) stops accepting, lets workers finish
-//!   every already-queued connection, then joins. The store lock is held
-//!   for the daemon's lifetime, so a stray CLI cannot corrupt the log
-//!   behind its back; a SIGKILL at any byte is recovered by the store's
-//!   salvage scan on the next open.
+//!   every already-queued connection, then joins the workers and the
+//!   background scrub. The store lock is held for the daemon's
+//!   lifetime, so a stray CLI cannot corrupt the log behind its back; a
+//!   SIGKILL at any byte is recovered by the store's salvage scan on the
+//!   next open.
 
-use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -40,26 +34,18 @@ use hmh_core::{CollisionCorrection, HmhParams, HyperMinHash};
 use hmh_hash::RandomOracle;
 use hmh_store::{FileBackend, RetryPolicy, SketchStore, StoreError, StoreOptions, SCRUB_SLICE_BYTES};
 
+use crate::front::{self, Disposition, FrontEnd, FrontHandle, FrontOptions, Handler, POLL_TICK};
 use crate::proto::{
-    decode_request_budget, encode_response, write_frame, write_frames_vectored, DigestEntry,
-    ErrCode, FrameBuffer, FrameError, Health, PeerHealth, Request, Response, ScrubReport,
-    SyncEntry, MAX_DIGEST_ENTRIES, MAX_FRAME_LEN, MAX_LIST_NAMES, MAX_PIPELINE_DEPTH,
-    MAX_SCRUB_PAGE, MAX_SYNC_NAMES,
+    DigestEntry, ErrCode, Health, PeerHealth, Request, Response, ScrubReport, SyncEntry,
+    MAX_DIGEST_ENTRIES, MAX_FRAME_LEN, MAX_LIST_NAMES, MAX_SCRUB_PAGE, MAX_SYNC_NAMES,
 };
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Worker threads handling connections.
-    pub workers: usize,
-    /// Accept-queue depth; connections beyond it are shed with BUSY.
-    pub queue_depth: usize,
-    /// Per-connection read deadline (each blocking read).
-    pub read_timeout: Duration,
-    /// Per-connection write deadline (each blocking write).
-    pub write_timeout: Duration,
-    /// Frame body ceiling (tests shrink it; the protocol caps it anyway).
-    pub max_frame: usize,
+    /// Connection front-end settings: workers, queue depth, deadlines,
+    /// frame cap.
+    pub front: FrontOptions,
     /// Pacing interval between background scrub slices. Actual pacing is
     /// jittered up to +50% through the store's backoff schedule (the
     /// same pacer anti-entropy uses) so co-located daemons decorrelate.
@@ -75,11 +61,7 @@ pub struct ServeOptions {
 impl Default for ServeOptions {
     fn default() -> Self {
         Self {
-            workers: 4,
-            queue_depth: 16,
-            read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
-            max_frame: MAX_FRAME_LEN,
+            front: FrontOptions::default(),
             scrub_interval: Duration::from_secs(1),
             scrub_slice: SCRUB_SLICE_BYTES,
             store: StoreOptions::default(),
@@ -120,9 +102,6 @@ impl From<std::io::Error> for ServeError {
         ServeError::Io(e)
     }
 }
-
-/// How often blocked loops re-check the shutdown flag.
-const POLL_TICK: Duration = Duration::from_millis(5);
 
 /// Replication state published by an anti-entropy engine and read by the
 /// daemon's HEALTH handler. The daemon owns one of these whether or not
@@ -166,19 +145,8 @@ impl ReplicationStatus {
 
 struct Shared {
     store: Mutex<SketchStore<FileBackend>>,
-    /// Accepted connections waiting for a worker, each stamped with its
-    /// accept time so dequeue can expire requests whose deadline budget
-    /// was spent in the queue.
-    queue: Mutex<VecDeque<(TcpStream, Instant)>>,
-    /// Signals workers that the queue gained a connection or shutdown began.
-    wake: Condvar,
-    shutdown: AtomicBool,
+    front: Arc<FrontEnd>,
     read_only: AtomicBool,
-    shed: AtomicU64,
-    served: AtomicU64,
-    /// Requests answered with a typed EXPIRED instead of executed.
-    expired: AtomicU64,
-    active: AtomicU32,
     replication: Arc<ReplicationStatus>,
     opts: ServeOptions,
 }
@@ -189,113 +157,67 @@ impl Shared {
     fn store(&self) -> MutexGuard<'_, SketchStore<FileBackend>> {
         self.store.lock().unwrap_or_else(PoisonError::into_inner)
     }
-
-    fn queue(&self) -> MutexGuard<'_, VecDeque<(TcpStream, Instant)>> {
-        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 /// A running daemon. Dropping the handle signals shutdown (without
 /// waiting); call [`ServerHandle::join`] for an orderly drain-then-exit.
 pub struct ServerHandle {
-    addr: SocketAddr,
-    shared: Arc<Shared>,
-    threads: Vec<thread::JoinHandle<()>>,
+    front: FrontHandle,
+    replication: Arc<ReplicationStatus>,
 }
 
 impl ServerHandle {
     /// The address actually bound (resolves port 0 to the real port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.front.addr()
     }
 
     /// Signal shutdown without waiting: stop accepting, let workers
     /// drain the queue.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.wake.notify_all();
+        self.front.shutdown();
     }
 
-    /// Signal shutdown and wait for the accept loop and every worker to
-    /// finish draining.
-    pub fn join(mut self) {
-        self.shutdown();
-        for t in self.threads.drain(..) {
-            // A worker that panicked already lost its connection; there
-            // is nothing more to salvage from its JoinHandle.
-            let _ = t.join();
-        }
+    /// Signal shutdown and wait for the accept loop, every worker and
+    /// the background scrub to finish draining.
+    pub fn join(self) {
+        self.front.join();
     }
 
     /// True once every thread has exited (non-blocking).
     pub fn is_finished(&self) -> bool {
-        self.threads.iter().all(thread::JoinHandle::is_finished)
+        self.front.is_finished()
     }
 
     /// The replication status slot this daemon reports in HEALTH. An
     /// anti-entropy engine clones the `Arc` and publishes into it; with
     /// no engine attached the slot stays at its zero state.
     pub fn replication(&self) -> Arc<ReplicationStatus> {
-        Arc::clone(&self.shared.replication)
-    }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.shutdown();
+        Arc::clone(&self.replication)
     }
 }
 
 /// Start the daemon: open (and lock) the store at `dir`, bind `addr`,
-/// spawn the accept loop and worker pool.
+/// spawn the front end and the background scrub.
 pub fn serve(
     dir: impl Into<PathBuf>,
     addr: impl ToSocketAddrs,
     opts: ServeOptions,
 ) -> Result<ServerHandle, ServeError> {
     let store = SketchStore::open_opts(dir, opts.store.clone()).map_err(ServeError::Store)?;
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-
-    let shared = Arc::new(Shared {
-        store: Mutex::new(store),
-        queue: Mutex::new(VecDeque::new()),
-        wake: Condvar::new(),
-        shutdown: AtomicBool::new(false),
-        read_only: AtomicBool::new(false),
-        shed: AtomicU64::new(0),
-        served: AtomicU64::new(0),
-        expired: AtomicU64::new(0),
-        active: AtomicU32::new(0),
-        replication: Arc::new(ReplicationStatus::default()),
-        opts: opts.clone(),
-    });
-
-    let mut threads = Vec::with_capacity(opts.workers + 1);
-    let accept_shared = Arc::clone(&shared);
-    threads.push(
-        thread::Builder::new()
-            .name("hmh-serve-accept".into())
-            .spawn(move || accept_loop(&accept_shared, &listener))?,
-    );
-    for i in 0..opts.workers.max(1) {
-        let worker_shared = Arc::clone(&shared);
-        threads.push(
-            thread::Builder::new()
-                .name(format!("hmh-serve-worker-{i}"))
-                .spawn(move || worker_loop(&worker_shared))?,
-        );
+    let (mut front, shared) =
+        front::start(addr, opts.front.clone(), "hmh-serve", |front| Shared {
+            store: Mutex::new(store),
+            front,
+            read_only: AtomicBool::new(false),
+            replication: Arc::default(),
+            opts,
+        })?;
+    let replication = Arc::clone(&shared.replication);
+    if shared.opts.scrub_interval > Duration::ZERO {
+        front.spawn("hmh-serve-scrub".into(), move || scrub_loop(&shared))?;
     }
-    if opts.scrub_interval > Duration::ZERO {
-        let scrub_shared = Arc::clone(&shared);
-        threads.push(
-            thread::Builder::new()
-                .name("hmh-serve-scrub".into())
-                .spawn(move || scrub_loop(&scrub_shared))?,
-        );
-    }
-    Ok(ServerHandle { addr, shared, threads })
+    Ok(ServerHandle { front, replication })
 }
 
 /// The background scrub: one bounded slice of checksum re-verification
@@ -312,9 +234,9 @@ fn scrub_loop(shared: &Shared) {
     let mut pacing = RetryPolicy::default().with_jitter_seed(0x5343_5255_4250_4143); // "SCRUBPAC"
     pacing.base_delay = interval;
     pacing.max_delay = interval;
-    while !shared.shutdown.load(Ordering::SeqCst) {
+    while !shared.front.is_shutdown() {
         sleep_sliced(pacing.backoff_delay(1), shared);
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shared.front.is_shutdown() {
             return;
         }
         // A store that failed a write is suspect: scrub repair writes
@@ -336,260 +258,58 @@ fn scrub_loop(shared: &Shared) {
 /// so drain is never blocked behind a full scrub interval.
 fn sleep_sliced(total: Duration, shared: &Shared) {
     let mut remaining = total;
-    while remaining > Duration::ZERO && !shared.shutdown.load(Ordering::SeqCst) {
+    while remaining > Duration::ZERO && !shared.front.is_shutdown() {
         let slice = remaining.min(POLL_TICK);
         thread::sleep(slice);
         remaining = remaining.saturating_sub(slice);
     }
 }
 
-fn accept_loop(shared: &Shared, listener: &TcpListener) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => enqueue(shared, stream),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(POLL_TICK),
-            // Transient accept errors (EMFILE under a connection storm,
-            // aborted handshakes): back off a tick and keep serving.
-            Err(_) => thread::sleep(POLL_TICK),
-        }
-    }
-    // Wake every worker so they observe shutdown and drain.
-    shared.wake.notify_all();
-}
+impl Handler for Shared {
+    type Worker = ();
 
-fn enqueue(shared: &Shared, stream: TcpStream) {
-    let mut queue = shared.queue();
-    if queue.len() >= shared.opts.queue_depth {
-        drop(queue);
-        shared.shed.fetch_add(1, Ordering::Relaxed);
-        shed_busy(shared, stream);
-        return;
-    }
-    queue.push_back((stream, Instant::now()));
-    drop(queue);
-    shared.wake.notify_one();
-}
+    fn worker(&self) {}
 
-/// Tell a shed connection why it is being dropped — best effort, under a
-/// short deadline so a non-reading peer cannot stall the accept loop.
-fn shed_busy(shared: &Shared, mut stream: TcpStream) {
-    let deadline = shared.opts.write_timeout.min(Duration::from_millis(100));
-    let _ = stream.set_write_timeout(Some(deadline));
-    let _ = write_frame(&mut stream, &encode_response(&Response::Busy));
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let stream = {
-            let mut queue = shared.queue();
-            loop {
-                if let Some(stream) = queue.pop_front() {
-                    break Some(stream);
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break None;
-                }
-                // Timed wait: a missed notify can only delay one tick.
-                let (guard, _timeout) = shared
-                    .wake
-                    .wait_timeout(queue, POLL_TICK)
-                    .unwrap_or_else(PoisonError::into_inner);
-                queue = guard;
+    fn handle(&self, (): &mut (), request: Request, _: Option<Instant>) -> (Response, Disposition) {
+        let resp = match request {
+            Request::Put { name, sketch } => write_op(self, &name, sketch, false),
+            Request::Merge { name, sketch } => write_op(self, &name, sketch, true),
+            Request::BatchPut { name, p, q, r, algorithm, seed, items } => {
+                batch_put(self, &name, (p, q, r), algorithm, seed, &items)
             }
+            Request::Get { name } => {
+                let store = self.store();
+                match store.get_encoded(&name) {
+                    Some(bytes) => Response::Sketch(bytes.to_vec()),
+                    None => absent(&store, &name),
+                }
+            }
+            Request::Card { name } => {
+                let mut store = self.store();
+                match store.get_estimated(&name) {
+                    Some(Ok((estimate, _))) => Response::Value(estimate),
+                    Some(Err(e)) => bad_sketch(e),
+                    None => absent(&store, &name),
+                }
+            }
+            Request::Jaccard { a, b } => jaccard_op(self, &a, &b),
+            Request::ListPage { after } => {
+                // A single daemon always answers its whole page; `partial`
+                // is a router-side marker for missing shards.
+                let names = self.store().names_page(&after, MAX_LIST_NAMES);
+                Response::NamesPage { names, partial: false }
+            }
+            Request::Delete { name } => delete_op(self, &name),
+            Request::Health => Response::Health(health_snapshot(self)),
+            Request::Digest { after } => {
+                Response::Digests(digest_page(&self.store(), &after, MAX_DIGEST_ENTRIES))
+            }
+            Request::Sync { names } => sync_page(self, &names),
+            Request::Scrub { trigger, after } => scrub_op(self, trigger, &after),
+            Request::Shutdown => return (Response::Ok, Disposition::Shutdown),
         };
-        let Some((stream, queued_at)) = stream else { return };
-        shared.active.fetch_add(1, Ordering::SeqCst);
-        handle_connection(shared, stream, queued_at);
-        shared.active.fetch_sub(1, Ordering::SeqCst);
+        (resp, Disposition::KeepAlive)
     }
-}
-
-fn handle_connection(shared: &Shared, mut stream: TcpStream, queued_at: Instant) {
-    // Deadline every blocking read and write; a misconfigured socket is
-    // not worth serving without them.
-    if stream.set_read_timeout(Some(shared.opts.read_timeout)).is_err()
-        || stream.set_write_timeout(Some(shared.opts.write_timeout)).is_err()
-    {
-        return;
-    }
-    let _ = stream.set_nodelay(true);
-
-    // Pipelined connection loop: each pass gathers one *batch* — the
-    // first frame read blocking (the connection's idle state), then
-    // every further complete frame that has already arrived, up to
-    // MAX_PIPELINE_DEPTH — processes the batch strictly in receipt
-    // order, and flushes all replies as one vectored write. A client
-    // that never pipelines degenerates to batches of one, byte-for-byte
-    // the old request/response behavior. The loop is bounded by the
-    // socket deadlines, EOF, and the shutdown flag.
-    let mut frames = FrameBuffer::new();
-    let mut first_batch = true;
-    loop {
-        let first = match frames.read_frame_buffered(&mut stream, shared.opts.max_frame) {
-            Ok(Some(body)) => body,
-            // Clean EOF, deadline, reset, or truncation: hang up. The
-            // peer is gone or hostile; there is no one to answer.
-            Ok(None) | Err(FrameError::Io(_)) => return,
-            Err(FrameError::TooLarge { got, max }) => {
-                // A lying length prefix gets a typed answer, then the
-                // connection closes — resynchronizing inside a byte
-                // stream after an unread body is guesswork.
-                let resp = Response::Err {
-                    code: ErrCode::TooLarge,
-                    message: format!("frame length {got} exceeds maximum {max}"),
-                };
-                let _ = write_frame(&mut stream, &encode_response(&resp));
-                return;
-            }
-        };
-
-        // The wait of every frame in the *first* batch began at accept:
-        // a pipelined burst sits in the kernel while the connection sits
-        // in the queue, so elapsed-since-queue is the dead-work window
-        // for all of them. Later batches measure from their own receipt
-        // — client think-time between batches is not queueing delay.
-        let batch_epoch = if first_batch { queued_at } else { Instant::now() };
-        first_batch = false;
-
-        // Opportunistic drain: whatever else has already arrived, up to
-        // the depth cap. Never blocks — a lone frame stays a batch of
-        // one. Excess frames beyond the cap wait their turn in the
-        // buffer/kernel; depth overflow degrades to smaller batches,
-        // never to a hang or a dropped frame.
-        let mut batch = vec![first];
-        let mut poison: Option<Response> = None;
-        // A transport error mid-drain is ignored here: frames already
-        // buffered still deserve answers, and the failure resurfaces on
-        // the reply flush or the next blocking read.
-        let _ = frames.fill_nonblocking(&stream);
-        while batch.len() < MAX_PIPELINE_DEPTH {
-            match frames.take_frame(shared.opts.max_frame) {
-                Ok(Some(body)) => batch.push(body),
-                Ok(None) => break,
-                Err(FrameError::TooLarge { got, max }) => {
-                    // The lying prefix poisons the tail: earlier frames
-                    // in this batch still get their replies below.
-                    poison = Some(Response::Err {
-                        code: ErrCode::TooLarge,
-                        message: format!("frame length {got} exceeds maximum {max}"),
-                    });
-                    break;
-                }
-                // take_frame never touches the transport; satisfy the
-                // type by treating an Io as "no more frames".
-                Err(FrameError::Io(_)) => break,
-            }
-        }
-
-        // Process in receipt order; replies queue in the same order.
-        // The reply queue is bounded by construction: one reply per
-        // batch frame, and batches are depth-capped.
-        let mut replies: Vec<Vec<u8>> = Vec::with_capacity(batch.len());
-        let mut close = false;
-        let mut shutdown = false;
-        for body in batch {
-            match decode_request_budget(&body) {
-                // Dequeue-time expiry, per frame: the check runs when
-                // the frame is *about to be executed*, so time spent on
-                // earlier frames of the batch counts against its
-                // budget. An expired frame burns alone — a typed
-                // EXPIRED in its reply slot, and processing continues
-                // with the next frame.
-                Ok((_request, budget_ms))
-                    if budget_ms > 0
-                        && batch_epoch.elapsed()
-                            >= Duration::from_millis(u64::from(budget_ms)) =>
-                {
-                    shared.expired.fetch_add(1, Ordering::Relaxed);
-                    replies.push(encode_response(&Response::Expired));
-                }
-                Ok((request, _budget_ms)) => {
-                    let (resp, disposition) = handle_request(shared, request);
-                    replies.push(encode_response(&resp));
-                    match disposition {
-                        Disposition::KeepAlive => {}
-                        Disposition::Shutdown => {
-                            shutdown = true;
-                            break;
-                        }
-                    }
-                }
-                Err(e) => {
-                    // Parse failures poison the tail: the peer either
-                    // speaks a different protocol version or is
-                    // garbage, and resynchronizing after it is
-                    // guesswork. Replies already queued for earlier
-                    // frames are flushed below — never discarded.
-                    poison =
-                        Some(Response::Err { code: e.code(), message: e.to_string() });
-                    break;
-                }
-            }
-        }
-        if let Some(resp) = poison {
-            replies.push(encode_response(&resp));
-            close = true;
-        }
-
-        let flushed = write_frames_vectored(&mut stream, &replies).is_ok();
-        shared.served.fetch_add(replies.len() as u64, Ordering::Relaxed);
-        if shutdown {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            shared.wake.notify_all();
-            return;
-        }
-        if !flushed || close || shared.shutdown.load(Ordering::SeqCst) {
-            // Write failure, poisoned tail, or draining: this batch was
-            // the connection's last.
-            return;
-        }
-    }
-}
-
-enum Disposition {
-    KeepAlive,
-    Shutdown,
-}
-
-fn handle_request(shared: &Shared, request: Request) -> (Response, Disposition) {
-    let resp = match request {
-        Request::Put { name, sketch } => write_op(shared, &name, sketch, false),
-        Request::Merge { name, sketch } => write_op(shared, &name, sketch, true),
-        Request::BatchPut { name, p, q, r, algorithm, seed, items } => {
-            batch_put(shared, &name, (p, q, r), algorithm, seed, &items)
-        }
-        Request::Get { name } => {
-            let store = shared.store();
-            match store.get_encoded(&name) {
-                Some(bytes) => Response::Sketch(bytes.to_vec()),
-                None => absent(&store, &name),
-            }
-        }
-        Request::Card { name } => {
-            let mut store = shared.store();
-            match store.get_estimated(&name) {
-                Some(Ok((estimate, _))) => Response::Value(estimate),
-                Some(Err(e)) => bad_sketch(e),
-                None => absent(&store, &name),
-            }
-        }
-        Request::Jaccard { a, b } => jaccard_op(shared, &a, &b),
-        Request::ListPage { after } => {
-            // A single daemon always answers its whole page; `partial`
-            // is a router-side marker for missing shards.
-            let names = shared.store().names_page(&after, MAX_LIST_NAMES);
-            Response::NamesPage { names, partial: false }
-        }
-        Request::Delete { name } => delete_op(shared, &name),
-        Request::Health => Response::Health(health_snapshot(shared)),
-        Request::Digest { after } => {
-            Response::Digests(digest_page(&shared.store(), &after, MAX_DIGEST_ENTRIES))
-        }
-        Request::Sync { names } => sync_page(shared, &names),
-        Request::Scrub { trigger, after } => scrub_op(shared, trigger, &after),
-        Request::Shutdown => return (Response::Ok, Disposition::Shutdown),
-    };
-    (resp, Disposition::KeepAlive)
 }
 
 fn digest_page(
@@ -614,7 +334,7 @@ fn digest_page(
 fn sync_page(shared: &Shared, names: &[String]) -> Response {
     // Response overhead: status byte + u16 entry count; per entry:
     // u16 name length + name + u32 payload length + payload.
-    let budget = shared.opts.max_frame.min(MAX_FRAME_LEN);
+    let budget = shared.opts.front.max_frame.min(MAX_FRAME_LEN);
     let mut used = 3usize;
     let mut entries = Vec::new();
     let store = shared.store();
@@ -847,27 +567,17 @@ fn health_snapshot(shared: &Shared) -> Health {
     let (rounds, peers) = shared.replication.snapshot();
     Health {
         read_only: shared.read_only.load(Ordering::SeqCst),
-        workers: clamp_u32(shared.opts.workers),
-        queue_capacity: clamp_u32(shared.opts.queue_depth),
-        queue_depth: clamp_u32(shared.queue().len()),
-        active: shared.active.load(Ordering::SeqCst),
-        shed: shared.shed.load(Ordering::Relaxed),
-        served: shared.served.load(Ordering::Relaxed),
         sketches: sketches as u64,
         store_clean,
         quarantined,
         truncated_tail,
         rounds,
         // A plain daemon routes nothing; a routing tier synthesizes its
-        // own HEALTH with these filled in.
-        route_epoch: 0,
-        route_handoffs: 0,
-        expired: shared.expired.load(Ordering::Relaxed),
+        // own HEALTH with route_epoch and route_handoffs filled in.
         // For a daemon, budget pressure shows up as anti-entropy syncs
         // yielding to foreground load; a breaker lives client-side, so a
-        // plain daemon never opens one.
+        // plain daemon never opens one (breaker_open stays 0).
         retry_exhausted: shared.replication.yields(),
-        breaker_open: 0,
         scrub_rounds: scrub.rounds,
         records_scrubbed: scrub.records,
         corrupt_found: scrub.corrupt_found,
@@ -875,18 +585,16 @@ fn health_snapshot(shared: &Shared) -> Health {
         scrub_quarantined,
         last_scrub_age_ms,
         peers,
+        ..shared.front.health()
     }
-}
-
-fn clamp_u32(n: usize) -> u32 {
-    u32::try_from(n).unwrap_or(u32::MAX)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::read_frame;
+    use crate::proto::{read_frame, write_frame};
     use hmh_core::HmhParams;
+    use std::net::TcpStream;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("hmh-serve-unit-{tag}-{}", std::process::id()));
@@ -897,10 +605,13 @@ mod tests {
 
     fn test_opts() -> ServeOptions {
         ServeOptions {
-            workers: 2,
-            queue_depth: 4,
-            read_timeout: Duration::from_millis(400),
-            write_timeout: Duration::from_millis(400),
+            front: FrontOptions {
+                workers: 2,
+                queue_depth: 4,
+                read_timeout: Duration::from_millis(400),
+                write_timeout: Duration::from_millis(400),
+                ..FrontOptions::default()
+            },
             store: StoreOptions::no_sleep(),
             ..ServeOptions::default()
         }

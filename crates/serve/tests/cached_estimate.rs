@@ -26,7 +26,7 @@ use hmh_replica::{sync_with_peer, ReplicaOptions};
 use hmh_serve::proto::{
     decode_response, encode_request, read_frame, write_frame, Request, Response, MAX_FRAME_LEN,
 };
-use hmh_serve::{serve, ErrCode, ServeOptions, ServerHandle};
+use hmh_serve::{serve, ErrCode, FrontOptions, ServeOptions, ServerHandle};
 use hmh_store::log::{RECORD_HEADER, RECORD_TRAILER};
 use hmh_store::{StoreOptions, SNAPSHOT_FILE, WAL_FILE};
 
@@ -67,7 +67,7 @@ struct Daemon {
 impl Daemon {
     fn start(dir: &Path) -> Self {
         let opts = ServeOptions {
-            workers: 2,
+            front: FrontOptions { workers: 2, ..FrontOptions::default() },
             scrub_interval: Duration::ZERO,
             store: StoreOptions::no_sleep(),
             ..ServeOptions::default()

@@ -12,8 +12,13 @@
 //! * the store stays salvageable: whatever the sockets saw, a fresh open
 //!   reports clean-or-salvaged, never unrecoverable.
 //!
+//! The garbage-bytes schedule also runs through a router, which shares
+//! the daemon's connection front end.
+//!
 //! Everything is seeded (SplitMix64): a failing schedule replays
 //! bit-for-bit.
+
+mod targets;
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -28,8 +33,11 @@ use hmh_serve::proto::{
     decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
     Request, Response, MAX_BATCH_ITEMS, MAX_FRAME_LEN, MAX_ITEM_LEN,
 };
-use hmh_serve::{serve, Client, ClientError, ClientOptions, ErrCode, ServeOptions, ServerHandle};
+use hmh_serve::{
+    serve, Client, ClientError, ClientOptions, ErrCode, FrontOptions, ServeOptions, ServerHandle,
+};
 use hmh_store::{RetryPolicy, SketchStore, StoreOptions};
+use targets::{Endpoint, Target};
 
 struct TempDir(PathBuf);
 
@@ -50,12 +58,15 @@ impl Drop for TempDir {
 
 fn opts(workers: usize, queue_depth: usize) -> ServeOptions {
     ServeOptions {
-        workers,
-        queue_depth,
-        // Short deadlines keep the whole suite fast: a stalled peer costs
-        // a worker at most 300ms.
-        read_timeout: Duration::from_millis(300),
-        write_timeout: Duration::from_millis(300),
+        front: FrontOptions {
+            workers,
+            queue_depth,
+            // Short deadlines keep the whole suite fast: a stalled peer costs
+            // a worker at most 300ms.
+            read_timeout: Duration::from_millis(300),
+            write_timeout: Duration::from_millis(300),
+            ..FrontOptions::default()
+        },
         store: StoreOptions::no_sleep(),
         ..ServeOptions::default()
     }
@@ -65,7 +76,7 @@ fn start(dir: &TempDir, workers: usize, queue_depth: usize) -> ServerHandle {
     serve(&dir.0, "127.0.0.1:0", opts(workers, queue_depth)).unwrap()
 }
 
-fn client(handle: &ServerHandle) -> Client {
+fn client(handle: &impl Endpoint) -> Client {
     Client::with_options(
         handle.addr(),
         ClientOptions {
@@ -85,7 +96,7 @@ fn sketch(lo: u64, hi: u64) -> HyperMinHash {
 
 /// The post-chaos invariant: the daemon still serves a healthy client
 /// correctly, and its connection slots have drained.
-fn assert_still_healthy(handle: &ServerHandle, tag: &str) {
+fn assert_still_healthy(handle: &impl Endpoint, tag: &str) {
     let mut c = client(handle);
     let name = format!("healthy-{tag}");
     let s = sketch(0, 2_000);
@@ -99,7 +110,7 @@ fn assert_still_healthy(handle: &ServerHandle, tag: &str) {
     assert_eq!(health.queue_depth, 0, "{tag}: queue not drained: {health:?}");
 }
 
-fn raw(handle: &ServerHandle) -> TcpStream {
+fn raw(handle: &impl Endpoint) -> TcpStream {
     let conn = TcpStream::connect(handle.addr()).unwrap();
     conn.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
     conn.set_write_timeout(Some(Duration::from_secs(2))).unwrap();
@@ -137,35 +148,38 @@ fn truncated_frames_at_every_cut_never_wedge_the_daemon() {
 
 #[test]
 fn garbage_bytes_get_typed_errors_or_clean_closes() {
-    let dir = TempDir::new("garbage");
-    let handle = start(&dir, 2, 8);
-    let mut rng = SplitMix64::new(0xBAD5EED);
+    for target in Target::ALL {
+        let dir = TempDir::new(&format!("garbage-{}", target.tag()));
+        let handle = target.start(&dir.0, opts(2, 8));
+        let mut rng = SplitMix64::new(0xBAD5EED);
 
-    for round in 0..32 {
-        let len = (rng.next_u64() % 200) as usize + 1;
-        let mut bytes: Vec<u8> = (0..len).map(|_| (rng.next_u64() & 0xff) as u8).collect();
-        if round % 4 == 0 {
-            // Well-framed garbage: a correct length prefix over a hostile
-            // body. This must earn a *typed* error reply.
-            let mut framed = Vec::new();
-            write_frame(&mut framed, &bytes).unwrap();
-            bytes = framed;
-        }
-        let mut conn = raw(&handle);
-        conn.write_all(&bytes).unwrap();
-        conn.shutdown(std::net::Shutdown::Write).unwrap();
-        let mut reply = Vec::new();
-        let _ = conn.read_to_end(&mut reply);
-        if round % 4 == 0 && !reply.is_empty() {
-            let body = read_frame(&mut &reply[..], MAX_FRAME_LEN).unwrap().expect("framed reply");
-            match decode_response(&body).expect("server replies in protocol") {
-                Response::Err { .. } | Response::Busy => {}
-                other => panic!("garbage earned a success reply: {other:?}"),
+        for round in 0..32 {
+            let len = (rng.next_u64() % 200) as usize + 1;
+            let mut bytes: Vec<u8> = (0..len).map(|_| (rng.next_u64() & 0xff) as u8).collect();
+            if round % 4 == 0 {
+                // Well-framed garbage: a correct length prefix over a hostile
+                // body. This must earn a *typed* error reply.
+                let mut framed = Vec::new();
+                write_frame(&mut framed, &bytes).unwrap();
+                bytes = framed;
+            }
+            let mut conn = raw(&handle);
+            conn.write_all(&bytes).unwrap();
+            conn.shutdown(std::net::Shutdown::Write).unwrap();
+            let mut reply = Vec::new();
+            let _ = conn.read_to_end(&mut reply);
+            if round % 4 == 0 && !reply.is_empty() {
+                let body =
+                    read_frame(&mut &reply[..], MAX_FRAME_LEN).unwrap().expect("framed reply");
+                match decode_response(&body).expect("server replies in protocol") {
+                    Response::Err { .. } | Response::Busy => {}
+                    other => panic!("garbage earned a success reply: {other:?}"),
+                }
             }
         }
+        assert_still_healthy(&handle, "garbage");
+        handle.join();
     }
-    assert_still_healthy(&handle, "garbage");
-    handle.join();
 }
 
 #[test]
@@ -254,7 +268,10 @@ fn overload_sheds_with_busy_and_recovers() {
     let handle = serve(
         &dir.0,
         "127.0.0.1:0",
-        ServeOptions { read_timeout: Duration::from_secs(2), ..opts(1, 2) },
+        ServeOptions {
+            front: FrontOptions { read_timeout: Duration::from_secs(2), ..opts(1, 2).front },
+            ..opts(1, 2)
+        },
     )
     .unwrap();
 

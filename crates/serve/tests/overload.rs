@@ -2,14 +2,18 @@
 //! is already spent when a worker finally dequeues it must come back
 //! as a typed EXPIRED — the server refuses the dead work instead of
 //! doing it — while v1 requests (no budget on the wire) are served no
-//! matter how long they waited.
+//! matter how long they waited. The expiry check runs against a router
+//! as well, which shares the daemon's connection front end.
+
+mod targets;
 
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use hmh_serve::{serve, Client, ClientError, ClientOptions, ServeOptions};
+use hmh_serve::{serve, Client, ClientError, ClientOptions, FrontOptions, ServeOptions};
 use hmh_store::{RetryPolicy, StoreOptions};
+use targets::{Endpoint, Target};
 
 struct TempDir(std::path::PathBuf);
 
@@ -34,18 +38,16 @@ impl Drop for TempDir {
 /// which is the queue delay every concurrently arriving request sees.
 const PIN: Duration = Duration::from_millis(700);
 
+fn opts() -> ServeOptions {
+    ServeOptions {
+        front: FrontOptions { workers: 1, read_timeout: PIN, ..FrontOptions::default() },
+        store: StoreOptions::no_sleep(),
+        ..ServeOptions::default()
+    }
+}
+
 fn start(dir: &TempDir) -> hmh_serve::ServerHandle {
-    serve(
-        &dir.0,
-        "127.0.0.1:0",
-        ServeOptions {
-            workers: 1,
-            read_timeout: PIN,
-            store: StoreOptions::no_sleep(),
-            ..ServeOptions::default()
-        },
-    )
-    .expect("start daemon")
+    serve(&dir.0, "127.0.0.1:0", opts()).expect("start daemon")
 }
 
 fn sketch() -> hmh_core::HyperMinHash {
@@ -66,56 +68,58 @@ fn slow_loris(addr: std::net::SocketAddr) -> TcpStream {
 
 #[test]
 fn budgeted_request_queued_past_its_deadline_expires_typed() {
-    let dir = TempDir::new("expire");
-    let node = start(&dir);
+    for target in Target::ALL {
+        let dir = TempDir::new(&format!("expire-{}", target.tag()));
+        let node = target.start(&dir.0, opts());
 
-    // Preload while the worker is idle.
-    let mut setup = Client::connect(node.addr());
-    setup.put("ovl/x", &sketch()).expect("preload");
-    drop(setup);
+        // Preload while the worker is idle.
+        let mut setup = Client::connect(node.addr());
+        setup.put("ovl/x", &sketch()).expect("preload");
+        drop(setup);
 
-    let mut victim = Client::with_options(
-        node.addr(),
-        ClientOptions {
-            retry: RetryPolicy::none(),
-            op_budget: Some(Duration::from_millis(100)),
-            ..ClientOptions::default()
-        },
-    );
+        let mut victim = Client::with_options(
+            node.addr(),
+            ClientOptions {
+                retry: RetryPolicy::none(),
+                op_budget: Some(Duration::from_millis(100)),
+                ..ClientOptions::default()
+            },
+        );
 
-    let loris = slow_loris(node.addr());
-    // Give the worker time to dequeue the loris before the victim
-    // arrives; the victim then queues behind it for ~PIN.
-    std::thread::sleep(Duration::from_millis(150));
+        let loris = slow_loris(node.addr());
+        // Give the worker time to dequeue the loris before the victim
+        // arrives; the victim then queues behind it for ~PIN.
+        std::thread::sleep(Duration::from_millis(150));
 
-    let started = Instant::now();
-    match victim.card("ovl/x") {
-        Err(ClientError::Expired) => {}
-        other => panic!("queued-past-budget CARD should expire typed, got {other:?}"),
+        let started = Instant::now();
+        match victim.card("ovl/x") {
+            Err(ClientError::Expired) => {}
+            other => panic!("queued-past-budget CARD should expire typed, got {other:?}"),
+        }
+        let waited = started.elapsed();
+        assert!(
+            waited >= Duration::from_millis(150),
+            "EXPIRED after {waited:?}: the server answered before the queue drained, \
+             so the expiry did not happen at dequeue"
+        );
+        assert!(waited < Duration::from_secs(5), "EXPIRED took {waited:?}; not a refusal, a hang");
+        drop(loris);
+
+        // Expiry is a keep-alive reply, not a hangup: the same connection
+        // serves the next (freshly budgeted) request, because budget burn
+        // restarts at frame receipt for later requests on a connection.
+        let estimate = victim.card("ovl/x").expect("post-expiry request on the same connection");
+        assert!(estimate > 0.0);
+
+        // The refusal is visible in HEALTH.
+        let mut probe = Client::connect(node.addr());
+        let health = probe.health().expect("health");
+        assert!(health.expired >= 1, "expired counter did not move: {health:?}");
+        drop(probe);
+
+        node.shutdown();
+        node.join();
     }
-    let waited = started.elapsed();
-    assert!(
-        waited >= Duration::from_millis(150),
-        "EXPIRED after {waited:?}: the server answered before the queue drained, \
-         so the expiry did not happen at dequeue"
-    );
-    assert!(waited < Duration::from_secs(5), "EXPIRED took {waited:?}; not a refusal, a hang");
-    drop(loris);
-
-    // Expiry is a keep-alive reply, not a hangup: the same connection
-    // serves the next (freshly budgeted) request, because budget burn
-    // restarts at frame receipt for later requests on a connection.
-    let estimate = victim.card("ovl/x").expect("post-expiry request on the same connection");
-    assert!(estimate > 0.0);
-
-    // The refusal is visible in HEALTH.
-    let mut probe = Client::connect(node.addr());
-    let health = probe.health().expect("health");
-    assert!(health.expired >= 1, "expired counter did not move: {health:?}");
-    drop(probe);
-
-    node.shutdown();
-    node.join();
 }
 
 #[test]

@@ -20,8 +20,13 @@
 //!   to the same stream issued serially (the property the whole
 //!   optimisation must preserve).
 //!
+//! The ordering, depth-cap and expiry properties run against both
+//! front ends that share the connection loop: a daemon and a router.
+//!
 //! Everything is seeded (SplitMix64): a failing schedule replays
 //! bit-for-bit.
+
+mod targets;
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -35,8 +40,11 @@ use hmh_serve::proto::{
     decode_response, encode_request, encode_request_budget, read_frame, write_frame, Request,
     Response, MAX_FRAME_LEN, MAX_PIPELINE_DEPTH,
 };
-use hmh_serve::{serve, Client, ClientError, ClientOptions, ServeOptions, ServerHandle};
+use hmh_serve::{
+    serve, Client, ClientError, ClientOptions, FrontOptions, ServeOptions, ServerHandle,
+};
 use hmh_store::{RetryPolicy, StoreOptions};
+use targets::{Endpoint, Target};
 
 struct TempDir(PathBuf);
 
@@ -57,10 +65,13 @@ impl Drop for TempDir {
 
 fn opts(workers: usize, queue_depth: usize) -> ServeOptions {
     ServeOptions {
-        workers,
-        queue_depth,
-        read_timeout: Duration::from_millis(300),
-        write_timeout: Duration::from_millis(300),
+        front: FrontOptions {
+            workers,
+            queue_depth,
+            read_timeout: Duration::from_millis(300),
+            write_timeout: Duration::from_millis(300),
+            ..FrontOptions::default()
+        },
         store: StoreOptions::no_sleep(),
         ..ServeOptions::default()
     }
@@ -70,7 +81,7 @@ fn start(dir: &TempDir, workers: usize, queue_depth: usize) -> ServerHandle {
     serve(&dir.0, "127.0.0.1:0", opts(workers, queue_depth)).unwrap()
 }
 
-fn client(handle: &ServerHandle) -> Client {
+fn client(handle: &impl Endpoint) -> Client {
     Client::with_options(
         handle.addr(),
         ClientOptions {
@@ -90,7 +101,7 @@ fn sketch(lo: u64, hi: u64) -> HyperMinHash {
 
 /// Post-chaos invariant: the daemon still serves a healthy client and
 /// its connection slots have drained.
-fn assert_still_healthy(handle: &ServerHandle, tag: &str) {
+fn assert_still_healthy(handle: &impl Endpoint, tag: &str) {
     let mut c = client(handle);
     let name = format!("healthy-{tag}");
     let s = sketch(0, 2_000);
@@ -101,7 +112,7 @@ fn assert_still_healthy(handle: &ServerHandle, tag: &str) {
     assert_eq!(health.queue_depth, 0, "{tag}: queue not drained: {health:?}");
 }
 
-fn raw(handle: &ServerHandle) -> TcpStream {
+fn raw(handle: &impl Endpoint) -> TcpStream {
     let conn = TcpStream::connect(handle.addr()).unwrap();
     conn.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
     conn.set_write_timeout(Some(Duration::from_secs(2))).unwrap();
@@ -140,78 +151,82 @@ enum Expect {
 
 #[test]
 fn replies_stay_in_receipt_order_under_seeded_interleavings() {
-    const CASES: u64 = 64;
-    let dir = TempDir::new("interleave");
-    let handle = start(&dir, 2, 8);
+    for target in Target::ALL {
+        const CASES: u64 = 64;
+        let dir = TempDir::new(&format!("interleave-{}", target.tag()));
+        let handle = target.start(&dir.0, opts(2, 8));
 
-    // Preload distinguishable sketches; cache their exact encodings and
-    // serially-computed cardinalities as the order oracle.
-    let mut setup = client(&handle);
-    let names: Vec<String> = (0..8).map(|i| format!("pre-{i}")).collect();
-    let mut encodings = Vec::new();
-    let mut cards = Vec::new();
-    for (i, name) in names.iter().enumerate() {
-        let s = sketch(i as u64 * 10_000, i as u64 * 10_000 + 500 * (i as u64 + 1));
-        setup.put(name, &s).unwrap();
-        encodings.push(format::encode(&s));
-        cards.push(setup.card(name).unwrap());
+        // Preload distinguishable sketches; cache their exact encodings and
+        // serially-computed cardinalities as the order oracle.
+        let mut setup = client(&handle);
+        let names: Vec<String> = (0..8).map(|i| format!("pre-{i}")).collect();
+        let mut encodings = Vec::new();
+        let mut cards = Vec::new();
+        for (i, name) in names.iter().enumerate() {
+            let s = sketch(i as u64 * 10_000, i as u64 * 10_000 + 500 * (i as u64 + 1));
+            setup.put(name, &s).unwrap();
+            encodings.push(format::encode(&s));
+            cards.push(setup.card(name).unwrap());
+        }
+        drop(setup);
+
+        let put_payload = format::encode(&sketch(0, 64));
+        let mut rng = SplitMix64::new(0x5EED_11E5);
+        for case in 0..CASES {
+            let depth = 1 + (rng.next_u64() as usize) % MAX_PIPELINE_DEPTH;
+            let mut bodies = Vec::with_capacity(depth);
+            let mut expected = Vec::with_capacity(depth);
+            for j in 0..depth {
+                let k = (rng.next_u64() as usize) % names.len();
+                match rng.next_u64() % 3 {
+                    0 => {
+                        bodies.push(encode_request(&Request::Get { name: names[k].clone() }));
+                        expected.push(Expect::Sketch(encodings[k].clone()));
+                    }
+                    1 => {
+                        bodies.push(encode_request(&Request::Card { name: names[k].clone() }));
+                        expected.push(Expect::Value(cards[k]));
+                    }
+                    _ => {
+                        bodies.push(encode_request(&Request::Put {
+                            name: format!("case{case}-{j}"),
+                            sketch: put_payload.clone(),
+                        }));
+                        expected.push(Expect::Ok);
+                    }
+                }
+            }
+
+            // Write the stream in seeded chunks with occasional stalls: the
+            // server sees the window arrive in every shape — one syscall,
+            // byte dribbles, stalls that split it across batches.
+            let stream = framed_stream(&bodies);
+            let mut conn = raw(&handle);
+            let mut off = 0;
+            while off < stream.len() {
+                let chunk = 1 + (rng.next_u64() as usize) % (stream.len() - off);
+                conn.write_all(&stream[off..off + chunk]).unwrap();
+                off += chunk;
+                if rng.next_u64().is_multiple_of(8) {
+                    std::thread::sleep(Duration::from_millis(rng.next_u64() % 5));
+                }
+            }
+
+            let replies = read_replies(&mut conn, depth);
+            for (i, (reply, want)) in replies.iter().zip(&expected).enumerate() {
+                match (reply, want) {
+                    (Response::Ok, Expect::Ok) => {}
+                    (Response::Sketch(got), Expect::Sketch(want)) if got == want => {}
+                    (Response::Value(got), Expect::Value(want)) if got == want => {}
+                    (got, _) => {
+                        panic!("case {case} slot {i}: out-of-order or wrong reply: {got:?}")
+                    }
+                }
+            }
+        }
+        assert_still_healthy(&handle, "interleave");
+        handle.join();
     }
-    drop(setup);
-
-    let put_payload = format::encode(&sketch(0, 64));
-    let mut rng = SplitMix64::new(0x5EED_11E5);
-    for case in 0..CASES {
-        let depth = 1 + (rng.next_u64() as usize) % MAX_PIPELINE_DEPTH;
-        let mut bodies = Vec::with_capacity(depth);
-        let mut expected = Vec::with_capacity(depth);
-        for j in 0..depth {
-            let k = (rng.next_u64() as usize) % names.len();
-            match rng.next_u64() % 3 {
-                0 => {
-                    bodies.push(encode_request(&Request::Get { name: names[k].clone() }));
-                    expected.push(Expect::Sketch(encodings[k].clone()));
-                }
-                1 => {
-                    bodies.push(encode_request(&Request::Card { name: names[k].clone() }));
-                    expected.push(Expect::Value(cards[k]));
-                }
-                _ => {
-                    bodies.push(encode_request(&Request::Put {
-                        name: format!("case{case}-{j}"),
-                        sketch: put_payload.clone(),
-                    }));
-                    expected.push(Expect::Ok);
-                }
-            }
-        }
-
-        // Write the stream in seeded chunks with occasional stalls: the
-        // server sees the window arrive in every shape — one syscall,
-        // byte dribbles, stalls that split it across batches.
-        let stream = framed_stream(&bodies);
-        let mut conn = raw(&handle);
-        let mut off = 0;
-        while off < stream.len() {
-            let chunk = 1 + (rng.next_u64() as usize) % (stream.len() - off);
-            conn.write_all(&stream[off..off + chunk]).unwrap();
-            off += chunk;
-            if rng.next_u64().is_multiple_of(8) {
-                std::thread::sleep(Duration::from_millis(rng.next_u64() % 5));
-            }
-        }
-
-        let replies = read_replies(&mut conn, depth);
-        for (i, (reply, want)) in replies.iter().zip(&expected).enumerate() {
-            match (reply, want) {
-                (Response::Ok, Expect::Ok) => {}
-                (Response::Sketch(got), Expect::Sketch(want)) if got == want => {}
-                (Response::Value(got), Expect::Value(want)) if got == want => {}
-                (got, _) => panic!("case {case} slot {i}: out-of-order or wrong reply: {got:?}"),
-            }
-        }
-    }
-    assert_still_healthy(&handle, "interleave");
-    handle.join();
 }
 
 #[test]
@@ -250,44 +265,46 @@ fn disconnect_with_frames_in_flight_leaks_no_slot() {
 
 #[test]
 fn client_depth_cap_is_a_typed_refusal_and_raw_overdepth_never_hangs() {
-    let dir = TempDir::new("depth-cap");
-    let handle = start(&dir, 2, 8);
+    for target in Target::ALL {
+        let dir = TempDir::new(&format!("depth-cap-{}", target.tag()));
+        let handle = target.start(&dir.0, opts(2, 8));
 
-    let mut setup = client(&handle);
-    setup.put("cap", &sketch(0, 500)).unwrap();
-    drop(setup);
+        let mut setup = client(&handle);
+        setup.put("cap", &sketch(0, 500)).unwrap();
+        drop(setup);
 
-    // Client side: one request over the cap is refused before any bytes
-    // move — no partial window ever reaches the wire.
-    let requests: Vec<Request> =
-        (0..=MAX_PIPELINE_DEPTH).map(|_| Request::Card { name: "cap".into() }).collect();
-    let mut c = client(&handle);
-    match c.pipeline(&requests) {
-        Err(ClientError::PipelineOverflow { submitted, max }) => {
-            assert_eq!(submitted, MAX_PIPELINE_DEPTH + 1);
-            assert_eq!(max, MAX_PIPELINE_DEPTH);
+        // Client side: one request over the cap is refused before any bytes
+        // move — no partial window ever reaches the wire.
+        let requests: Vec<Request> =
+            (0..=MAX_PIPELINE_DEPTH).map(|_| Request::Card { name: "cap".into() }).collect();
+        let mut c = client(&handle);
+        match c.pipeline(&requests) {
+            Err(ClientError::PipelineOverflow { submitted, max }) => {
+                assert_eq!(submitted, MAX_PIPELINE_DEPTH + 1);
+                assert_eq!(max, MAX_PIPELINE_DEPTH);
+            }
+            other => panic!("expected PipelineOverflow, got {other:?}"),
         }
-        other => panic!("expected PipelineOverflow, got {other:?}"),
+        // The refusal is local: the connection still works at the cap.
+        let replies = c.pipeline(&requests[..MAX_PIPELINE_DEPTH]).unwrap();
+        assert_eq!(replies.len(), MAX_PIPELINE_DEPTH);
+        assert!(replies.iter().all(|r| matches!(r, Response::Value(_))));
+        drop(c);
+
+        // Raw side: a peer writing 2× the depth cap in one burst is not an
+        // error — the server serves it in multiple bounded batches. Every
+        // reply arrives, in order, and nothing hangs.
+        let body = encode_request(&Request::Card { name: "cap".into() });
+        let stream = framed_stream(&vec![body; 2 * MAX_PIPELINE_DEPTH]);
+        let mut conn = raw(&handle);
+        conn.write_all(&stream).unwrap();
+        let replies = read_replies(&mut conn, 2 * MAX_PIPELINE_DEPTH);
+        assert!(replies.iter().all(|r| matches!(r, Response::Value(_))));
+        drop(conn);
+
+        assert_still_healthy(&handle, "depth-cap");
+        handle.join();
     }
-    // The refusal is local: the connection still works at the cap.
-    let replies = c.pipeline(&requests[..MAX_PIPELINE_DEPTH]).unwrap();
-    assert_eq!(replies.len(), MAX_PIPELINE_DEPTH);
-    assert!(replies.iter().all(|r| matches!(r, Response::Value(_))));
-    drop(c);
-
-    // Raw side: a peer writing 2× the depth cap in one burst is not an
-    // error — the server serves it in multiple bounded batches. Every
-    // reply arrives, in order, and nothing hangs.
-    let body = encode_request(&Request::Card { name: "cap".into() });
-    let stream = framed_stream(&vec![body; 2 * MAX_PIPELINE_DEPTH]);
-    let mut conn = raw(&handle);
-    conn.write_all(&stream).unwrap();
-    let replies = read_replies(&mut conn, 2 * MAX_PIPELINE_DEPTH);
-    assert!(replies.iter().all(|r| matches!(r, Response::Value(_))));
-    drop(conn);
-
-    assert_still_healthy(&handle, "depth-cap");
-    handle.join();
 }
 
 #[test]
@@ -355,48 +372,54 @@ fn slow_loris_mid_pipeline_gets_completed_frames_answered() {
 
 #[test]
 fn mid_pipeline_expiry_burns_only_its_own_frame() {
-    let dir = TempDir::new("expire-one");
-    // One worker with a long read deadline: a slow loris pins it for
-    // ~700ms, which is the clock that expires the victim's budget.
-    let handle = serve(
-        &dir.0,
-        "127.0.0.1:0",
-        ServeOptions { read_timeout: Duration::from_millis(700), ..opts(1, 8) },
-    )
-    .unwrap();
+    for target in Target::ALL {
+        let dir = TempDir::new(&format!("expire-one-{}", target.tag()));
+        // One worker with a long read deadline: a slow loris pins it for
+        // ~700ms, which is the clock that expires the victim's budget.
+        let handle = target.start(
+            &dir.0,
+            ServeOptions {
+                front: FrontOptions {
+                    read_timeout: Duration::from_millis(700),
+                    ..opts(1, 8).front
+                },
+                ..opts(1, 8)
+            },
+        );
 
-    let mut setup = client(&handle);
-    setup.put("expire", &sketch(0, 1_000)).unwrap();
-    drop(setup);
-    std::thread::sleep(Duration::from_millis(30)); // setup conn fully released
+        let mut setup = client(&handle);
+        setup.put("expire", &sketch(0, 1_000)).unwrap();
+        drop(setup);
+        std::thread::sleep(Duration::from_millis(30)); // setup conn fully released
 
-    // Pin the only worker.
-    let mut loris = raw(&handle);
-    loris.write_all(&64u32.to_le_bytes()).unwrap();
-    std::thread::sleep(Duration::from_millis(50));
+        // Pin the only worker.
+        let mut loris = raw(&handle);
+        loris.write_all(&64u32.to_le_bytes()).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
 
-    // The victim queues a whole window while pinned: an unbudgeted
-    // frame, a 100ms-budget frame, another unbudgeted frame. By the
-    // time the worker dequeues the connection (~700ms later) only the
-    // budgeted frame's deadline has passed.
-    let card = Request::Card { name: "expire".into() };
-    let bodies =
-        vec![encode_request(&card), encode_request_budget(&card, 100), encode_request(&card)];
-    let mut victim = raw(&handle);
-    victim.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    victim.write_all(&framed_stream(&bodies)).unwrap();
+        // The victim queues a whole window while pinned: an unbudgeted
+        // frame, a 100ms-budget frame, another unbudgeted frame. By the
+        // time the worker dequeues the connection (~700ms later) only the
+        // budgeted frame's deadline has passed.
+        let card = Request::Card { name: "expire".into() };
+        let bodies =
+            vec![encode_request(&card), encode_request_budget(&card, 100), encode_request(&card)];
+        let mut victim = raw(&handle);
+        victim.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        victim.write_all(&framed_stream(&bodies)).unwrap();
 
-    let replies = read_replies(&mut victim, 3);
-    assert!(matches!(replies[0], Response::Value(_)), "unbudgeted frame served: {replies:?}");
-    assert!(matches!(replies[1], Response::Expired), "budgeted frame expired: {replies:?}");
-    assert!(
-        matches!(replies[2], Response::Value(_)),
-        "expiry must not poison the next frame: {replies:?}"
-    );
-    drop(victim);
-    drop(loris);
-    assert_still_healthy(&handle, "expire-one");
-    handle.join();
+        let replies = read_replies(&mut victim, 3);
+        assert!(matches!(replies[0], Response::Value(_)), "unbudgeted frame served: {replies:?}");
+        assert!(matches!(replies[1], Response::Expired), "budgeted frame expired: {replies:?}");
+        assert!(
+            matches!(replies[2], Response::Value(_)),
+            "expiry must not poison the next frame: {replies:?}"
+        );
+        drop(victim);
+        drop(loris);
+        assert_still_healthy(&handle, "expire-one");
+        handle.join();
+    }
 }
 
 /// The property the whole optimisation must preserve: a pipelined

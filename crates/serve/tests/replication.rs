@@ -35,8 +35,8 @@ use hmh_serve::proto::{
     decode_response, encode_request, read_frame, write_frame, Request, Response, MAX_FRAME_LEN,
 };
 use hmh_serve::{
-    serve, Client, ClientError, ClientOptions, ErrCode, FailoverClient, PeerState, ServeOptions,
-    ServerHandle,
+    serve, Client, ClientError, ClientOptions, ErrCode, FailoverClient, FrontOptions, PeerState,
+    ServeOptions, ServerHandle,
 };
 use hmh_store::{RetryPolicy, StoreOptions};
 
@@ -62,10 +62,13 @@ fn start(dir: &TempDir) -> ServerHandle {
         &dir.0,
         "127.0.0.1:0",
         ServeOptions {
-            workers: 2,
-            queue_depth: 16,
-            read_timeout: Duration::from_millis(300),
-            write_timeout: Duration::from_millis(300),
+            front: FrontOptions {
+                workers: 2,
+                queue_depth: 16,
+                read_timeout: Duration::from_millis(300),
+                write_timeout: Duration::from_millis(300),
+                ..FrontOptions::default()
+            },
             store: StoreOptions::no_sleep(),
             ..ServeOptions::default()
         },
