@@ -5,9 +5,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hmh_core::{HmhParams, HyperMinHash};
+use hmh_hash::{HashAlgorithm, RandomOracle};
 use hmh_hll::HyperLogLog;
 use hmh_minhash::{BottomK, KHashMinHash, KPartitionMinHash};
-use hmh_hash::{HashAlgorithm, RandomOracle};
 
 fn bench_insert(c: &mut Criterion) {
     let n = 10_000u64;

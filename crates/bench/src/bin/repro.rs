@@ -18,8 +18,8 @@
 //! ```
 
 use hmh_bench::experiments::{
-    approx, bbit, cardinality, cnf_ie, collisions, fig6, headline, ie_vs_hmh, ingest, route, space_sweep,
-    variance, Config,
+    approx, bbit, cardinality, cnf_ie, collisions, fig6, headline, ie_vs_hmh, ingest, route,
+    space_sweep, variance, Config,
 };
 use hmh_bench::Table;
 
@@ -49,9 +49,8 @@ fn main() {
             "--quick" => cfg.quick = true,
             "--csv" => {
                 i += 1;
-                csv_dir = Some(
-                    args.get(i).cloned().unwrap_or_else(|| die("--csv needs a directory")),
-                );
+                csv_dir =
+                    Some(args.get(i).cloned().unwrap_or_else(|| die("--csv needs a directory")));
             }
             "--help" | "-h" => {
                 print!("{}", USAGE);
@@ -79,8 +78,7 @@ fn main() {
         }
     }
     // The ingest sweep also publishes its machine-readable artifact.
-    if let Some(table) =
-        tables.iter().find(|t| t.title().starts_with("Parallel ingest throughput"))
+    if let Some(table) = tables.iter().find(|t| t.title().starts_with("Parallel ingest throughput"))
     {
         let path = match &csv_dir {
             Some(dir) => format!("{dir}/BENCH_ingest.json"),
@@ -91,9 +89,7 @@ fn main() {
         eprintln!("wrote {path}");
     }
     // ... and the routing-tier overhead sweep publishes its own.
-    if let Some(table) =
-        tables.iter().find(|t| t.title().starts_with("Routed vs direct"))
-    {
+    if let Some(table) = tables.iter().find(|t| t.title().starts_with("Routed vs direct")) {
         let path = match &csv_dir {
             Some(dir) => format!("{dir}/BENCH_route.json"),
             None => "BENCH_route.json".to_string(),

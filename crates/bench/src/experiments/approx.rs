@@ -15,7 +15,8 @@ pub fn run(cfg: &Config) -> Table {
         format!("Algorithm 6 vs Algorithm 5, {params}"),
         &["n", "m", "exact(Alg5)", "approx(Alg6)", "approx/exact"],
     );
-    let exps: Vec<i32> = if cfg.quick { vec![4, 10, 16] } else { vec![3, 4, 6, 8, 10, 12, 14, 16, 18] };
+    let exps: Vec<i32> =
+        if cfg.quick { vec![4, 10, 16] } else { vec![3, 4, 6, 8, 10, 12, 14, 16, 18] };
     for e in exps {
         for ratio_exp in [0, 2, 6] {
             let n = 10f64.powi(e);
@@ -58,10 +59,7 @@ mod tests {
                 continue;
             }
             let ratio = t.cell_f64(row, t.col("approx/exact"));
-            assert!(
-                (0.6..=1.4).contains(&ratio),
-                "row {row}: approx/exact = {ratio}"
-            );
+            assert!((0.6..=1.4).contains(&ratio), "row {row}: approx/exact = {ratio}");
             checked += 1;
         }
         assert!(checked >= 5);

@@ -28,7 +28,8 @@ pub fn run_pairwise(cfg: &Config) -> Table {
         "Pairwise Jaccard: b-bit MinHash (2048×2b = 512 B) vs HyperMinHash (2^8×16b = 512 B), n = 20k",
         &["jaccard", "bbit_re", "hmh_re"],
     );
-    let targets: Vec<f64> = if cfg.quick { vec![0.1, 0.5] } else { vec![0.05, 0.1, 0.2, 0.333, 0.5, 0.8] };
+    let targets: Vec<f64> =
+        if cfg.quick { vec![0.1, 0.5] } else { vec![0.05, 0.1, 0.2, 0.333, 0.5, 0.8] };
     let trials = cfg.trials.min(8); // insertion-heavy (k-hash MinHash is Θ(nk))
     for (i, t) in targets.into_iter().enumerate() {
         let spec = OverlapSpec::equal_sized_with_jaccard(n, t);
@@ -156,8 +157,10 @@ mod tests {
             let bb = pairwise.cell_f64(row, pairwise.col("bbit_re"));
             let hmh = pairwise.cell_f64(row, pairwise.col("hmh_re"));
             // Same ballpark pairwise (within 4x either way at smoke scale).
-            assert!(bb < 4.0 * hmh.max(0.02) && hmh < 4.0 * bb.max(0.02),
-                "row {row}: bbit {bb} vs hmh {hmh}");
+            assert!(
+                bb < 4.0 * hmh.max(0.02) && hmh < 4.0 * bb.max(0.02),
+                "row {row}: bbit {bb} vs hmh {hmh}"
+            );
         }
 
         let comp = run_composition(&cfg);
@@ -173,8 +176,10 @@ mod tests {
                 (naive / 0.25 - 1.0).abs() > 0.2,
                 "naive b-bit merge accidentally worked: {naive}"
             );
-            assert!(hmh_re < (naive / 0.25 - 1.0).abs(),
-                "HMH ({hmh_re}) must beat the naive merge ({naive})");
+            assert!(
+                hmh_re < (naive / 0.25 - 1.0).abs(),
+                "HMH ({hmh_re}) must beat the naive merge ({naive})"
+            );
         }
     }
 }

@@ -38,8 +38,11 @@ pub fn run(cfg: &Config) -> Table {
             errs[2].add(relative_error(hmh_hll::estimators::ertl_mle(&hist), n));
             errs[3].add(relative_error(tail_estimate(&sketch), n));
             errs[4].add(relative_error(
-                CardinalityEstimator { hll_estimator: EstimatorKind::ErtlImproved, tail_threshold_factor: 1024.0 }
-                    .estimate(&sketch),
+                CardinalityEstimator {
+                    hll_estimator: EstimatorKind::ErtlImproved,
+                    tail_threshold_factor: 1024.0,
+                }
+                .estimate(&sketch),
                 n,
             ));
         }

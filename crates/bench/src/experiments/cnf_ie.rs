@@ -27,7 +27,8 @@ pub fn run(cfg: &Config) -> Table {
         "CNF evaluation: k-way registers vs inclusion-exclusion (|each set| = 100k)",
         &["clauses", "result_fraction", "truth", "kway_re", "ie_re"],
     );
-    let fractions: Vec<f64> = if cfg.quick { vec![0.01, 0.1] } else { vec![0.003, 0.01, 0.03, 0.1, 0.3] };
+    let fractions: Vec<f64> =
+        if cfg.quick { vec![0.01, 0.1] } else { vec![0.003, 0.01, 0.03, 0.1, 0.3] };
     let trials = cfg.trials.min(8);
     for (fi, frac) in fractions.iter().enumerate() {
         for clauses in [2usize, 3] {
@@ -39,7 +40,8 @@ pub fn run(cfg: &Config) -> Table {
             let truth = (n - (clauses as u64 - 1) * d) as f64;
             let (mut kway, mut ie) = (Welford::new(), Welford::new());
             for t in 0..trials {
-                let oracle = RandomOracle::with_seed(cfg.seed ^ (fi as u64 * 100 + clauses as u64 * 10 + t));
+                let oracle =
+                    RandomOracle::with_seed(cfg.seed ^ (fi as u64 * 100 + clauses as u64 * 10 + t));
                 let mut cat = SketchCatalog::with_oracle(params, oracle);
                 let mut names = Vec::new();
                 for c in 0..clauses as u64 {
@@ -51,7 +53,8 @@ pub fn run(cfg: &Config) -> Table {
                     cat.adopt(name.clone(), s).expect("compatible");
                     names.push(name);
                 }
-                let query = CnfQuery::new(names.iter().map(|n| vec![n.clone()])).expect("non-empty");
+                let query =
+                    CnfQuery::new(names.iter().map(|n| vec![n.clone()])).expect("non-empty");
                 kway.add(relative_error(evaluate(&cat, &query).expect("evaluates").count, truth));
                 ie.add(relative_error(
                     evaluate_inclusion_exclusion(&cat, &query).expect("evaluates"),

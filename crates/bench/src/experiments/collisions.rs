@@ -6,9 +6,7 @@
 
 use super::Config;
 use crate::table::{fnum, Table};
-use hmh_core::collisions::{
-    approx_expected_collisions, expected_collisions, theorem1_bound,
-};
+use hmh_core::collisions::{approx_expected_collisions, expected_collisions, theorem1_bound};
 use hmh_core::jaccard::{jaccard, CollisionCorrection};
 use hmh_core::HmhParams;
 use hmh_math::Welford;
@@ -18,7 +16,15 @@ use hmh_simulate::{simulate_hmh_pair, SimSpec};
 pub fn run_for_params(cfg: &Config, params: HmhParams) -> Table {
     let mut table = Table::new(
         format!("Collisions between disjoint sets, {params}"),
-        &["n", "empirical", "exact(Alg5)", "approx(Alg6)", "thm1_bound", "bound/exact", "implied_const"],
+        &[
+            "n",
+            "empirical",
+            "exact(Alg5)",
+            "approx(Alg6)",
+            "thm1_bound",
+            "bound/exact",
+            "implied_const",
+        ],
     );
     let exponents: Vec<i32> = if cfg.quick { vec![3, 6, 9] } else { (2..=14).collect() };
     for (i, e) in exponents.into_iter().enumerate() {

@@ -46,8 +46,8 @@ pub fn run(cfg: &Config) -> Table {
             (Welford::new(), Welford::new(), Welford::new());
         for _ in 0..cfg.trials {
             let (ha, hb) = simulate_hll_pair(hll_p, hll_cap, spec, &mut rng);
-            let ie = inclusion_exclusion(&ha, &hb, EstimatorKind::ErtlImproved)
-                .expect("same params");
+            let ie =
+                inclusion_exclusion(&ha, &hb, EstimatorKind::ErtlImproved).expect("same params");
             ie_err.add(relative_error(ie.intersection, shared));
             let mle = joint_mle(&ha, &hb).expect("same params");
             mle_err.add(relative_error(mle.intersection, shared));
@@ -80,10 +80,7 @@ mod tests {
         // to HyperMinHash's.
         let ie = t.cell_f64(0, t.col("ie_re"));
         let hmh = t.cell_f64(0, t.col("hmh_re"));
-        assert!(
-            hmh < ie / 3.0,
-            "HMH {hmh} should beat IE {ie} by a wide margin at J=0.003"
-        );
+        assert!(hmh < ie / 3.0, "HMH {hmh} should beat IE {ie} by a wide margin at J=0.003");
         assert!(hmh < 0.5, "HMH error {hmh}");
     }
 }

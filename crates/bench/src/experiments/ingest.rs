@@ -68,8 +68,7 @@ pub fn run(cfg: &Config) -> Table {
     ]);
 
     for workers in WORKER_COUNTS {
-        let opts =
-            IngestOptions { workers, queue_depth: 2 * workers, batch_size: 8 * 1024 };
+        let opts = IngestOptions { workers, queue_depth: 2 * workers, batch_size: 8 * 1024 };
         let mut result = None;
         let elapsed = best_of(repeats(cfg), || {
             result = Some(

@@ -75,8 +75,7 @@ pub fn run(cfg: &Config) -> Table {
         .expect("ring text"),
     )
     .expect("ring build");
-    let router = route(ring.clone(), "127.0.0.1:0", RouteOptions::default())
-        .expect("start router");
+    let router = route(ring.clone(), "127.0.0.1:0", RouteOptions::default()).expect("start router");
 
     let mut table = Table::new(
         format!("Routed vs direct operation overhead, {n} ops per pass"),

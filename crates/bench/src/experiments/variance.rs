@@ -33,8 +33,7 @@ pub fn run(cfg: &Config) -> Table {
         }
         let ec = expected_collisions(params, n, n);
         let bound = theorem2_variance_bound(ec);
-        let sd_over_mean =
-            if stats.mean() > 0.0 { stats.std_dev() / stats.mean() } else { 0.0 };
+        let sd_over_mean = if stats.mean() > 0.0 { stats.std_dev() / stats.mean() } else { 0.0 };
         table.push_row(vec![
             format!("1e{e}"),
             fnum(stats.mean()),

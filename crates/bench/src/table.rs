@@ -68,15 +68,11 @@ impl Table {
         let mut out = String::new();
         let _ = writeln!(out, "# {}", self.title);
         let line = |cells: &[String], widths: &[usize]| -> String {
-            cells
-                .iter()
-                .zip(widths)
-                .map(|(c, w)| format!("{c:>w$}"))
-                .collect::<Vec<_>>()
-                .join("  ")
+            cells.iter().zip(widths).map(|(c, w)| format!("{c:>w$}")).collect::<Vec<_>>().join("  ")
         };
         let _ = writeln!(out, "{}", line(&self.headers, &widths));
-        let _ = writeln!(out, "{}", "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
+        let _ =
+            writeln!(out, "{}", "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
         for row in &self.rows {
             let _ = writeln!(out, "{}", line(row, &widths));
         }
@@ -93,7 +89,8 @@ impl Table {
             }
         };
         let mut out = String::new();
-        let _ = writeln!(out, "{}", self.headers.iter().map(|h| esc(h)).collect::<Vec<_>>().join(","));
+        let _ =
+            writeln!(out, "{}", self.headers.iter().map(|h| esc(h)).collect::<Vec<_>>().join(","));
         for row in &self.rows {
             let _ = writeln!(out, "{}", row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
         }

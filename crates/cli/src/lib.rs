@@ -170,8 +170,8 @@ fn write_out(out: &mut dyn Write, text: impl AsRef<str>) -> Result<(), CliError>
 }
 
 fn load(path: &str) -> Result<HyperMinHash, CliError> {
-    let bytes = std::fs::read(path)
-        .map_err(|e| CliError::runtime(format!("cannot read {path}: {e}")))?;
+    let bytes =
+        std::fs::read(path).map_err(|e| CliError::runtime(format!("cannot read {path}: {e}")))?;
     decode(&bytes).map_err(|e| CliError::runtime(format!("{path}: {e}")))
 }
 
@@ -234,15 +234,21 @@ fn parse_sketch_config(args: &[String]) -> Result<(HmhParams, RandomOracle), Cli
         match args[i].as_str() {
             "-p" => {
                 i += 1;
-                p = need(args, i, "-p")?.parse().map_err(|e| CliError::usage(format!("-p: {e}")))?;
+                p = need(args, i, "-p")?
+                    .parse()
+                    .map_err(|e| CliError::usage(format!("-p: {e}")))?;
             }
             "-q" => {
                 i += 1;
-                q = need(args, i, "-q")?.parse().map_err(|e| CliError::usage(format!("-q: {e}")))?;
+                q = need(args, i, "-q")?
+                    .parse()
+                    .map_err(|e| CliError::usage(format!("-q: {e}")))?;
             }
             "-r" => {
                 i += 1;
-                r = need(args, i, "-r")?.parse().map_err(|e| CliError::usage(format!("-r: {e}")))?;
+                r = need(args, i, "-r")?
+                    .parse()
+                    .map_err(|e| CliError::usage(format!("-r: {e}")))?;
             }
             "--seed" => {
                 i += 1;
@@ -275,15 +281,21 @@ fn cmd_sketch(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         match args[i].as_str() {
             "-p" => {
                 i += 1;
-                p = need(args, i, "-p")?.parse().map_err(|e| CliError::usage(format!("-p: {e}")))?;
+                p = need(args, i, "-p")?
+                    .parse()
+                    .map_err(|e| CliError::usage(format!("-p: {e}")))?;
             }
             "-q" => {
                 i += 1;
-                q = need(args, i, "-q")?.parse().map_err(|e| CliError::usage(format!("-q: {e}")))?;
+                q = need(args, i, "-q")?
+                    .parse()
+                    .map_err(|e| CliError::usage(format!("-q: {e}")))?;
             }
             "-r" => {
                 i += 1;
-                r = need(args, i, "-r")?.parse().map_err(|e| CliError::usage(format!("-r: {e}")))?;
+                r = need(args, i, "-r")?
+                    .parse()
+                    .map_err(|e| CliError::usage(format!("-r: {e}")))?;
             }
             "--seed" => {
                 i += 1;
@@ -383,11 +395,7 @@ fn cmd_union(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     while i < args.len() {
         if args[i] == "-o" {
             i += 1;
-            output = Some(
-                args.get(i)
-                    .cloned()
-                    .ok_or_else(|| CliError::usage("-o needs a value"))?,
-            );
+            output = Some(args.get(i).cloned().ok_or_else(|| CliError::usage("-o needs a value"))?);
         } else {
             inputs.push(&args[i]);
         }
@@ -403,7 +411,14 @@ fn cmd_union(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         acc.merge(&next).map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
     }
     save(&output, &acc)?;
-    write_out(out, format!("{output}: union of {} sketches, estimate {:.0}\n", inputs.len(), acc.cardinality()))
+    write_out(
+        out,
+        format!(
+            "{output}: union of {} sketches, estimate {:.0}\n",
+            inputs.len(),
+            acc.cardinality()
+        ),
+    )
 }
 
 enum Pairwise {
@@ -483,15 +498,15 @@ fn cmd_store(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let open_code = if diagnostic { 2 } else { 1 };
     let options =
         hmh_store::StoreOptions { auto_heal: !diagnostic, ..hmh_store::StoreOptions::default() };
-    let mut store = hmh_store::SketchStore::open_opts(dir, options)
-        .map_err(|e| CliError { message: format!("cannot open store {dir}: {e}"), code: open_code })?;
+    let mut store = hmh_store::SketchStore::open_opts(dir, options).map_err(|e| CliError {
+        message: format!("cannot open store {dir}: {e}"),
+        code: open_code,
+    })?;
     let opened = store.recovery_report().clone();
     match (op.as_str(), rest) {
         ("put", [name, file]) => {
             let sketch = load(file)?;
-            store
-                .put(name, &sketch)
-                .map_err(|e| CliError::runtime(format!("put {name}: {e}")))?;
+            store.put(name, &sketch).map_err(|e| CliError::runtime(format!("put {name}: {e}")))?;
             write_out(out, format!("{dir}: stored {name} ({})\n", sketch.params()))
         }
         ("get", [name, output]) => {
@@ -500,7 +515,10 @@ fn cmd_store(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 .map_err(|e| CliError::runtime(format!("get {name}: {e}")))?
                 .ok_or_else(|| CliError::runtime(format!("no sketch named {name:?} in {dir}")))?;
             save(output, &sketch)?;
-            write_out(out, format!("{output}: {} (estimate {:.0})\n", sketch.params(), sketch.cardinality()))
+            write_out(
+                out,
+                format!("{output}: {} (estimate {:.0})\n", sketch.params(), sketch.cardinality()),
+            )
         }
         ("list", []) => {
             for name in store.names().map(str::to_string).collect::<Vec<_>>() {
@@ -516,9 +534,8 @@ fn cmd_store(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             write_out(out, format!("{} sketches\n", store.len()))
         }
         ("remove", [name]) => {
-            let removed = store
-                .remove(name)
-                .map_err(|e| CliError::runtime(format!("remove {name}: {e}")))?;
+            let removed =
+                store.remove(name).map_err(|e| CliError::runtime(format!("remove {name}: {e}")))?;
             if !removed {
                 return Err(CliError::runtime(format!("no sketch named {name:?} in {dir}")));
             }
@@ -550,12 +567,7 @@ fn cmd_store(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                         json_string(dir),
                         json_report(&opened),
                         json_report(now),
-                        detail
-                            .spans
-                            .iter()
-                            .map(json_span)
-                            .collect::<Vec<_>>()
-                            .join(","),
+                        detail.spans.iter().map(json_span).collect::<Vec<_>>().join(","),
                         if salvaged { "salvaged" } else { "clean" },
                     ),
                 )?;
@@ -744,8 +756,7 @@ fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     } else {
         let replica_opts = hmh_replica::ReplicaOptions {
             interval: sync_interval,
-            jitter_seed: u64::from(handle.addr().port())
-                ^ (u64::from(std::process::id()) << 16),
+            jitter_seed: u64::from(handle.addr().port()) ^ (u64::from(std::process::id()) << 16),
             // Anti-entropy is repair traffic: give it a shared retry
             // budget so its rounds yield (visible as HEALTH
             // retry_budget_exhausted) instead of competing with
@@ -1029,8 +1040,7 @@ fn cmd_route(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             let ring = load_ring(ring_file)?;
             for name in names {
                 let group = ring.owner(name);
-                let addrs: Vec<String> =
-                    group.replicas.iter().map(ToString::to_string).collect();
+                let addrs: Vec<String> = group.replicas.iter().map(ToString::to_string).collect();
                 write_out(out, format!("{name}: {} ({})\n", group.id, addrs.join(",")))?;
             }
             Ok(())
@@ -1215,8 +1225,8 @@ fn cmd_loadgen(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 }
                 opts.pacing = hmh_loadgen::Pacing::Open { ops_per_sec: rate };
             }
-            let report =
-                hmh_loadgen::run(addr, &opts).map_err(|e| CliError::runtime(format!("run: {e}")))?;
+            let report = hmh_loadgen::run(addr, &opts)
+                .map_err(|e| CliError::runtime(format!("run: {e}")))?;
             write_out(out, report_lines("phase", &report))
         }
         "sweep" => {
@@ -1318,7 +1328,8 @@ mod tests {
 
     impl TempDir {
         fn new(tag: &str) -> Self {
-            let dir = std::env::temp_dir().join(format!("hmh-cli-test-{tag}-{}", std::process::id()));
+            let dir =
+                std::env::temp_dir().join(format!("hmh-cli-test-{tag}-{}", std::process::id()));
             std::fs::create_dir_all(&dir).unwrap();
             Self(dir)
         }
@@ -1509,9 +1520,7 @@ mod tests {
         // Clean store: exit 0, status "clean", well-formed report JSON.
         let json = run_to_string(&["store", &sdir, "fsck", "--json"]).unwrap();
         assert!(json.contains("\"status\":\"clean\""), "{json}");
-        assert!(
-            json.contains("\"open\":{\"recovered\":"), "report objects present: {json}"
-        );
+        assert!(json.contains("\"open\":{\"recovered\":"), "report objects present: {json}");
 
         // A clean store reports an empty span array.
         assert!(json.contains("\"spans\":[]"), "{json}");
@@ -1693,9 +1702,9 @@ mod tests {
 
         // Two single-replica shard daemons.
         let opts = || hmh_serve::ServeOptions {
-                front: hmh_serve::FrontOptions { workers: 2, ..Default::default() },
-                ..hmh_serve::ServeOptions::default()
-            };
+            front: hmh_serve::FrontOptions { workers: 2, ..Default::default() },
+            ..hmh_serve::ServeOptions::default()
+        };
         let n1 = hmh_serve::serve(dir.path("shard1"), "127.0.0.1:0", opts()).unwrap();
         let n2 = hmh_serve::serve(dir.path("shard2"), "127.0.0.1:0", opts()).unwrap();
         let ring1 = dir.path("ring1.txt");
@@ -1718,11 +1727,10 @@ mod tests {
         let thread_buf = buf.clone();
         let ring_arg = ring1.clone();
         let router = std::thread::spawn(move || {
-            let args: Vec<String> =
-                ["route", "serve", &ring_arg, "--addr", "127.0.0.1:0"]
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect();
+            let args: Vec<String> = ["route", "serve", &ring_arg, "--addr", "127.0.0.1:0"]
+                .iter()
+                .map(ToString::to_string)
+                .collect();
             let mut sink = thread_buf;
             run(&args, &mut sink).unwrap();
         });

@@ -70,10 +70,8 @@ mod tests {
     use super::*;
 
     fn q(clauses: &[&[&str]]) -> CnfQuery {
-        CnfQuery::new(
-            clauses.iter().map(|c| c.iter().map(|s| s.to_string()).collect::<Vec<_>>()),
-        )
-        .unwrap()
+        CnfQuery::new(clauses.iter().map(|c| c.iter().map(|s| s.to_string()).collect::<Vec<_>>()))
+            .unwrap()
     }
 
     #[test]
@@ -86,10 +84,7 @@ mod tests {
     #[test]
     fn rejects_empty() {
         assert_eq!(CnfQuery::new(Vec::<Vec<String>>::new()).unwrap_err(), CnfError::EmptyQuery);
-        assert_eq!(
-            CnfQuery::new(vec![Vec::<String>::new()]).unwrap_err(),
-            CnfError::EmptyQuery
-        );
+        assert_eq!(CnfQuery::new(vec![Vec::<String>::new()]).unwrap_err(), CnfError::EmptyQuery);
     }
 
     #[test]

@@ -235,10 +235,7 @@ mod tests {
             ie_err += (evaluate_inclusion_exclusion(&cat, &query).unwrap() / truth - 1.0).abs();
             kway_err += (evaluate(&cat, &query).unwrap().count / truth - 1.0).abs();
         }
-        assert!(
-            kway_err < ie_err,
-            "k-way ({kway_err}) should beat IE ({ie_err}) at J ≈ 0.01"
-        );
+        assert!(kway_err < ie_err, "k-way ({kway_err}) should beat IE ({ie_err}) at J ≈ 0.01");
     }
 
     #[test]
@@ -269,10 +266,6 @@ mod tests {
         }
         let ans = query(&cat, "party:independent & view:favorable").unwrap();
         let truth = survey.exact_and(&["party:independent", "view:favorable"]) as f64;
-        assert!(
-            (ans.count / truth - 1.0).abs() < 0.25,
-            "estimate {} vs truth {truth}",
-            ans.count
-        );
+        assert!((ans.count / truth - 1.0).abs() < 0.25, "estimate {} vs truth {truth}", ans.count);
     }
 }

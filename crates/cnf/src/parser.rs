@@ -24,9 +24,7 @@ struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     fn skip_ws(&mut self) {
-        while self.pos < self.text.len()
-            && self.text.as_bytes()[self.pos].is_ascii_whitespace()
-        {
+        while self.pos < self.text.len() && self.text.as_bytes()[self.pos].is_ascii_whitespace() {
             self.pos += 1;
         }
     }
@@ -43,12 +41,9 @@ impl<'a> Cursor<'a> {
     fn ident(&mut self) -> Result<String, CnfError> {
         self.skip_ws();
         let start = self.pos;
-        while self
-            .text
-            .as_bytes()
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_alphanumeric() || matches!(b, b'_' | b':' | b'.' | b'+' | b'-'))
-        {
+        while self.text.as_bytes().get(self.pos).is_some_and(|b| {
+            b.is_ascii_alphanumeric() || matches!(b, b'_' | b':' | b'.' | b'+' | b'-')
+        }) {
             self.pos += 1;
         }
         if self.pos == start {
@@ -61,9 +56,7 @@ impl<'a> Cursor<'a> {
     fn operator(&mut self) -> Option<bool> {
         self.skip_ws();
         let rest = &self.text[self.pos..];
-        for (tok, is_and) in
-            [("&&", true), ("&", true), ("||", false), ("|", false)]
-        {
+        for (tok, is_and) in [("&&", true), ("&", true), ("||", false), ("|", false)] {
             if rest.starts_with(tok) {
                 self.pos += tok.len();
                 return Some(is_and);
@@ -73,8 +66,9 @@ impl<'a> Cursor<'a> {
             if rest.starts_with(tok) {
                 // Keyword must not glue onto an identifier.
                 let after = rest.as_bytes().get(tok.len());
-                let boundary = after
-                    .is_none_or(|b| !(b.is_ascii_alphanumeric() || matches!(b, b'_' | b':' | b'.' | b'+' | b'-')));
+                let boundary = after.is_none_or(|b| {
+                    !(b.is_ascii_alphanumeric() || matches!(b, b'_' | b':' | b'.' | b'+' | b'-'))
+                });
                 if boundary {
                     self.pos += tok.len();
                     return Some(is_and);
@@ -119,9 +113,7 @@ pub fn parse(text: &str) -> Result<CnfQuery, CnfError> {
         }
         match cur.operator() {
             Some(true) => clauses.push(cur.clause()?),
-            Some(false) => {
-                return Err(cur.error("top-level OR; parenthesize OR-clauses in CNF"))
-            }
+            Some(false) => return Err(cur.error("top-level OR; parenthesize OR-clauses in CNF")),
             None => return Err(cur.error("expected '&' between clauses")),
         }
     }

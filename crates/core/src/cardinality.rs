@@ -109,10 +109,7 @@ mod tests {
         for &n in &[100u64, 5_000, 100_000] {
             let sketch = HyperMinHash::from_items(params, 0..n);
             let e = est.estimate(&sketch);
-            assert!(
-                ((e - n as f64) / n as f64).abs() < 0.1,
-                "n={n}: estimate {e}"
-            );
+            assert!(((e - n as f64) / n as f64).abs() < 0.1, "n={n}: estimate {e}");
         }
     }
 
@@ -128,10 +125,7 @@ mod tests {
         let e = est.estimate(&sketch);
         // 16 buckets → ~25% relative error expected; check the right
         // regime, not tight accuracy.
-        assert!(
-            ((e - n as f64) / n as f64).abs() < 0.8,
-            "tail estimate {e}"
-        );
+        assert!(((e - n as f64) / n as f64).abs() < 0.8, "tail estimate {e}");
     }
 
     #[test]
@@ -150,7 +144,7 @@ mod tests {
         for bucket in 0..1024usize {
             let u: f64 = rng.gen();
             let v = -((-u).ln_1p() / per_bucket).exp_m1(); // min of k uniforms
-            // Encode v to (counter, mantissa) like rho_sigma does.
+                                                           // Encode v to (counter, mantissa) like rho_sigma does.
             let counter = ((-v.log2()).floor() as u32 + 1).min(params.cap());
             let mantissa = if counter < params.cap() {
                 ((v * 2f64.powi(counter as i32) - 1.0) * params.mantissa_values() as f64) as u32

@@ -47,8 +47,7 @@ pub fn approx_expected_collisions(params: HmhParams, n: f64, m: f64) -> Result<f
     } else {
         // HyperLogLog-box collisions (r = 0) spread across the 2^r
         // sub-boxes along each box's diagonal.
-        let hll_collisions =
-            super::exact::expected_hll_collisions(params.p(), params.cap(), n, m);
+        let hll_collisions = super::exact::expected_hll_collisions(params.p(), params.cap(), n, m);
         Ok(hll_collisions * r_scale)
     }
 }
@@ -70,10 +69,7 @@ mod tests {
         for &n in &[100.0, 1000.0, 5000.0] {
             let approx = approx_expected_collisions(params, n, n).unwrap();
             let exact = expected_collisions(params, n, n);
-            assert!(
-                (approx / exact - 1.0).abs() < 0.35,
-                "n={n}: approx {approx} vs exact {exact}"
-            );
+            assert!((approx / exact - 1.0).abs() < 0.35, "n={n}: approx {approx} vs exact {exact}");
         }
     }
 
@@ -83,10 +79,7 @@ mod tests {
         for &n in &[1e6, 1e9, 1e12] {
             let approx = approx_expected_collisions(params, n, n).unwrap();
             let exact = expected_collisions(params, n, n);
-            assert!(
-                (approx / exact - 1.0).abs() < 0.25,
-                "n={n}: approx {approx} vs exact {exact}"
-            );
+            assert!((approx / exact - 1.0).abs() < 0.25, "n={n}: approx {approx} vs exact {exact}");
         }
     }
 

@@ -26,8 +26,7 @@ pub fn theorem1_bound(params: HmhParams, n: f64) -> f64 {
 
 /// Proposition 3: single-bucket version with constant 6.
 pub fn proposition3_bound(params: HmhParams, n: f64) -> f64 {
-    6.0 * 2f64.powi(-(params.r() as i32))
-        + n / 2f64.powi((params.cap() - 1 + params.r()) as i32)
+    6.0 * 2f64.powi(-(params.r() as i32)) + n / 2f64.powi((params.cap() - 1 + params.r()) as i32)
 }
 
 /// Theorem 2: `Var(C) ≤ (EC)² + EC`.
@@ -38,9 +37,7 @@ pub fn theorem2_variance_bound(expected_collisions: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collisions::exact::{
-        expected_collisions, single_bucket_collision_probability,
-    };
+    use crate::collisions::exact::{expected_collisions, single_bucket_collision_probability};
 
     #[test]
     fn theorem1_dominates_the_exact_formula() {

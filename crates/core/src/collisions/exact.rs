@@ -178,15 +178,10 @@ mod tests {
         // cardinalities increase, at least until we reach the precision
         // limit of the LogLog counters" (§2).
         let params = HmhParams::new(8, 6, 10).unwrap();
-        let ec: Vec<f64> = [1e4, 1e6, 1e9, 1e12]
-            .iter()
-            .map(|&n| expected_collisions(params, n, n))
-            .collect();
+        let ec: Vec<f64> =
+            [1e4, 1e6, 1e9, 1e12].iter().map(|&n| expected_collisions(params, n, n)).collect();
         for w in ec.windows(2) {
-            assert!(
-                (w[1] / w[0]).abs() < 2.0 && (w[1] / w[0]) > 0.5,
-                "plateau violated: {ec:?}"
-            );
+            assert!((w[1] / w[0]).abs() < 2.0 && (w[1] / w[0]) > 0.5, "plateau violated: {ec:?}");
         }
     }
 
@@ -197,16 +192,10 @@ mod tests {
         let params = HmhParams::new(4, 3, 4).unwrap(); // cap = 7: range 2^10
         let inside = expected_collisions(params, 1e2, 1e2);
         let outside = expected_collisions(params, 1e9, 1e9);
-        assert!(
-            outside > inside * 5.0,
-            "inside {inside}, outside {outside}"
-        );
+        assert!(outside > inside * 5.0, "inside {inside}, outside {outside}");
         // In the far regime every bucket collides.
         let saturated = expected_collisions(params, 1e15, 1e15);
-        assert!(
-            (saturated - params.num_buckets() as f64).abs() < 0.5,
-            "saturated: {saturated}"
-        );
+        assert!((saturated - params.num_buckets() as f64).abs() < 0.5, "saturated: {saturated}");
     }
 
     #[test]

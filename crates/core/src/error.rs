@@ -32,7 +32,9 @@ pub enum HmhError {
 impl std::fmt::Display for HmhError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::InvalidParams { reason } => write!(f, "invalid HyperMinHash parameters: {reason}"),
+            Self::InvalidParams { reason } => {
+                write!(f, "invalid HyperMinHash parameters: {reason}")
+            }
             Self::ParameterMismatch { left, right } => {
                 write!(f, "HyperMinHash parameter mismatch: {left} vs {right}")
             }

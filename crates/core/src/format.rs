@@ -268,7 +268,10 @@ mod tests {
         // to prove the parameter gate itself fires).
         let mut bad = bytes.clone();
         bad[6] = 99;
-        assert!(matches!(decode(&bad), Err(FormatError::InvalidParams(_)) | Err(FormatError::Truncated { .. })));
+        assert!(matches!(
+            decode(&bad),
+            Err(FormatError::InvalidParams(_)) | Err(FormatError::Truncated { .. })
+        ));
         // Unknown algorithm byte.
         let mut bad = bytes;
         bad[8] = 200;

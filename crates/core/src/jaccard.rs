@@ -139,11 +139,7 @@ mod tests {
         let params = HmhParams::new(11, 6, 10).unwrap();
         let (a, b) = pair(30_000, 15_000, params);
         let est = jaccard(&a, &b, CollisionCorrection::None).unwrap();
-        assert!(
-            (est.estimate - 1.0 / 3.0).abs() < 0.04,
-            "estimate {}",
-            est.estimate
-        );
+        assert!((est.estimate - 1.0 / 3.0).abs() < 0.04, "estimate {}", est.estimate);
         assert_eq!(est.raw, est.estimate, "no correction → raw == estimate");
     }
 
@@ -228,12 +224,7 @@ mod tests {
         let overlap = (2.0 * n as f64 * 0.01 / 1.01) as u64; // J = s/(2n−s)
         let (a, b) = pair(n, overlap, params);
         let est = jaccard(&a, &b, CollisionCorrection::Approx).unwrap();
-        assert!(
-            (est.estimate - 0.01).abs() < 0.004,
-            "estimate {} (raw {})",
-            est.estimate,
-            est.raw
-        );
+        assert!((est.estimate - 0.01).abs() < 0.004, "estimate {} (raw {})", est.estimate, est.raw);
     }
 
     #[test]

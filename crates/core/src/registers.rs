@@ -117,8 +117,7 @@ mod tests {
             let r = p.r() as i32;
             let cap = p.cap();
             if counter < cap {
-                (p.mantissa_values() as f64 + f64::from(mantissa))
-                    / 2f64.powi(r + counter as i32)
+                (p.mantissa_values() as f64 + f64::from(mantissa)) / 2f64.powi(r + counter as i32)
             } else {
                 f64::from(mantissa) / 2f64.powi(r + cap as i32 - 1)
             }
@@ -132,9 +131,7 @@ mod tests {
         for &(c1, m1) in &entries {
             for &(c2, m2) in &entries {
                 let by_rank = rank(p, pack(p, c1, m1)).cmp(&rank(p, pack(p, c2, m2)));
-                let by_value = s1(c2, m2)
-                    .partial_cmp(&s1(c1, m1))
-                    .expect("finite");
+                let by_value = s1(c2, m2).partial_cmp(&s1(c1, m1)).expect("finite");
                 assert_eq!(by_rank, by_value, "({c1},{m1}) vs ({c2},{m2})");
             }
         }

@@ -30,11 +30,7 @@ impl HyperMinHash {
 
     /// New empty sketch with an explicit oracle.
     pub fn with_oracle(params: HmhParams, oracle: RandomOracle) -> Self {
-        Self {
-            params,
-            oracle,
-            words: BitPacked::new(params.word_bits(), params.num_buckets()),
-        }
+        Self { params, oracle, words: BitPacked::new(params.word_bits(), params.num_buckets()) }
     }
 
     /// Build a sketch from an iterator of items.
@@ -69,7 +65,8 @@ impl HyperMinHash {
     pub fn insert<T: HashableItem + ?Sized>(&mut self, item: &T) {
         let digest = self.oracle.digest(item);
         let bucket = digest.take_bits(0, self.params.p()) as usize;
-        let (counter, mantissa) = digest.rho_sigma(self.params.p(), self.params.cap(), self.params.r());
+        let (counter, mantissa) =
+            digest.rho_sigma(self.params.p(), self.params.cap(), self.params.r());
         self.observe(bucket, counter, mantissa as u32);
     }
 
@@ -211,10 +208,7 @@ impl HyperMinHash {
     /// Verify two sketches can be combined (same parameters and oracle).
     pub fn check_compatible(&self, other: &Self) -> Result<(), HmhError> {
         if self.params != other.params {
-            return Err(HmhError::ParameterMismatch {
-                left: self.params,
-                right: other.params,
-            });
+            return Err(HmhError::ParameterMismatch { left: self.params, right: other.params });
         }
         if self.oracle != other.oracle {
             return Err(HmhError::OracleMismatch);

@@ -105,10 +105,7 @@ impl RandomOracle {
                     buf[..data.len()].copy_from_slice(data);
                     // Fold the length in so prefixes of zero bytes stay
                     // distinct from shorter inputs.
-                    feistel128(
-                        u128::from_le_bytes(buf) ^ ((data.len() as u128) << 120),
-                        self.seed,
-                    )
+                    feistel128(u128::from_le_bytes(buf) ^ ((data.len() as u128) << 120), self.seed)
                 } else {
                     murmur3_x64_128(data, self.seed)
                 }
@@ -235,10 +232,7 @@ mod tests {
             }
             for (b, &count) in ones.iter().enumerate() {
                 let frac = f64::from(count) / n as f64;
-                assert!(
-                    (frac - 0.5).abs() < 0.02,
-                    "{alg:?} bit {b} biased: {frac}"
-                );
+                assert!((frac - 0.5).abs() < 0.02, "{alg:?} bit {b} biased: {frac}");
             }
         }
     }

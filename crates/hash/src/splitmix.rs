@@ -134,10 +134,7 @@ mod tests {
             }
         }
         let mean = f64::from(total) / f64::from(trials);
-        assert!(
-            (mean - 32.0).abs() < 1.5,
-            "avalanche mean {mean} too far from 32"
-        );
+        assert!((mean - 32.0).abs() < 1.5, "avalanche mean {mean} too far from 32");
     }
 
     #[test]

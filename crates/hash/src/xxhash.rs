@@ -25,16 +25,12 @@ fn read_u32_le(b: &[u8]) -> u32 {
 
 #[inline]
 fn round(acc: u64, input: u64) -> u64 {
-    acc.wrapping_add(input.wrapping_mul(PRIME64_2))
-        .rotate_left(31)
-        .wrapping_mul(PRIME64_1)
+    acc.wrapping_add(input.wrapping_mul(PRIME64_2)).rotate_left(31).wrapping_mul(PRIME64_1)
 }
 
 #[inline]
 fn merge_round(acc: u64, val: u64) -> u64 {
-    (acc ^ round(0, val))
-        .wrapping_mul(PRIME64_1)
-        .wrapping_add(PRIME64_4)
+    (acc ^ round(0, val)).wrapping_mul(PRIME64_1).wrapping_add(PRIME64_4)
 }
 
 #[inline]

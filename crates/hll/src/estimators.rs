@@ -176,13 +176,7 @@ pub fn ertl_mle(hist: &[u64]) -> f64 {
     let init = ertl_improved(hist).max(1e-9) / mf;
     let lo = (init / 256.0).ln();
     let hi = (init * 256.0).ln();
-    let (t, _) = golden_section_max(
-        |t| poisson_log_likelihood(hist, t.exp()),
-        lo,
-        hi,
-        1e-10,
-        200,
-    );
+    let (t, _) = golden_section_max(|t| poisson_log_likelihood(hist, t.exp()), lo, hi, 1e-10, 200);
     t.exp() * mf
 }
 
@@ -299,13 +293,9 @@ mod tests {
         for &n in &[5_000.0, 100_000.0, 10_000_000.0] {
             let exp_hist = expected_histogram(m, cap, n);
             let hist: Vec<u64> = exp_hist.iter().map(|&x| x.round() as u64).collect();
-            for kind in [EstimatorKind::Ffgm, EstimatorKind::ErtlImproved, EstimatorKind::ErtlMle]
-            {
+            for kind in [EstimatorKind::Ffgm, EstimatorKind::ErtlImproved, EstimatorKind::ErtlMle] {
                 let e = estimate(&hist, kind);
-                assert!(
-                    ((e - n) / n).abs() < 0.04,
-                    "{kind:?} at n={n}: {e}"
-                );
+                assert!(((e - n) / n).abs() < 0.04, "{kind:?} at n={n}: {e}");
             }
         }
     }
@@ -326,10 +316,8 @@ mod tests {
         let m = 1024;
         let cap = 32;
         let n = 50_000.0;
-        let hist: Vec<u64> = expected_histogram(m, cap, n)
-            .iter()
-            .map(|&x| x.round() as u64)
-            .collect();
+        let hist: Vec<u64> =
+            expected_histogram(m, cap, n).iter().map(|&x| x.round() as u64).collect();
         let lambda = n / m as f64;
         let at_truth = poisson_log_likelihood(&hist, lambda);
         assert!(at_truth > poisson_log_likelihood(&hist, lambda * 1.3));
@@ -351,10 +339,7 @@ mod tests {
         for (k, &pois) in expected.iter().enumerate() {
             let exact = exact_register_pmf(m, cap, n, k) * m as f64;
             if pois > 1e-3 {
-                assert!(
-                    ((exact - pois) / pois).abs() < 0.01,
-                    "k={k}: {exact} vs {pois}"
-                );
+                assert!(((exact - pois) / pois).abs() < 0.01, "k={k}: {exact} vs {pois}");
             }
         }
     }

@@ -69,11 +69,7 @@ pub fn inclusion_exclusion(
 /// The joint CDF factorizes as
 /// `F(a, b) = G₁(a) · G₂(b) · G₃(min(a, b))`,
 /// and the pmf is the 2-D finite difference of `F`.
-pub fn joint_log_likelihood(
-    pair_hist: &[Vec<u64>],
-    cap: u32,
-    lambda: &[f64; 3],
-) -> f64 {
+pub fn joint_log_likelihood(pair_hist: &[Vec<u64>], cap: u32, lambda: &[f64; 3]) -> f64 {
     let g = |lam: f64, k: i64| -> f64 {
         if k < 0 {
             0.0
@@ -83,9 +79,7 @@ pub fn joint_log_likelihood(
             (-lam * 2f64.powi(-(k as i32))).exp()
         }
     };
-    let f = |a: i64, b: i64| -> f64 {
-        g(lambda[0], a) * g(lambda[1], b) * g(lambda[2], a.min(b))
-    };
+    let f = |a: i64, b: i64| -> f64 { g(lambda[0], a) * g(lambda[1], b) * g(lambda[2], a.min(b)) };
     let mut ll = KahanSum::new();
     for (a, row) in pair_hist.iter().enumerate() {
         for (b, &count) in row.iter().enumerate() {
@@ -93,8 +87,8 @@ pub fn joint_log_likelihood(
                 continue;
             }
             let (a, b) = (a as i64, b as i64);
-            let pmf = (f(a, b) - f(a - 1, b) - f(a, b - 1) + f(a - 1, b - 1))
-                .max(f64::MIN_POSITIVE);
+            let pmf =
+                (f(a, b) - f(a - 1, b) - f(a, b - 1) + f(a - 1, b - 1)).max(f64::MIN_POSITIVE);
             ll.add(count as f64 * pmf.ln());
         }
     }
@@ -139,19 +133,19 @@ pub fn joint_mle(a: &HyperLogLog, b: &HyperLogLog) -> Result<IntersectionEstimat
     let a_only = t[0].exp() * m;
     let b_only = t[1].exp() * m;
     let intersection = t[2].exp() * m;
-    Ok(IntersectionEstimate {
-        a_only,
-        b_only,
-        intersection,
-        union: a_only + b_only + intersection,
-    })
+    Ok(IntersectionEstimate { a_only, b_only, intersection, union: a_only + b_only + intersection })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn build_pair(n_a_only: u64, n_b_only: u64, n_shared: u64, p: u32) -> (HyperLogLog, HyperLogLog) {
+    fn build_pair(
+        n_a_only: u64,
+        n_b_only: u64,
+        n_shared: u64,
+        p: u32,
+    ) -> (HyperLogLog, HyperLogLog) {
         let mut a = HyperLogLog::new(p);
         let mut b = HyperLogLog::new(p);
         for i in 0..n_shared {
@@ -173,10 +167,7 @@ mod tests {
         // 50% overlap: IE works acceptably here.
         let (a, b) = build_pair(20_000, 20_000, 20_000, 12);
         let est = inclusion_exclusion(&a, &b, EstimatorKind::ErtlImproved).unwrap();
-        assert!(
-            ((est.intersection - 20_000.0) / 20_000.0).abs() < 0.15,
-            "{est:?}"
-        );
+        assert!(((est.intersection - 20_000.0) / 20_000.0).abs() < 0.15, "{est:?}");
         assert!(((est.union - 60_000.0) / 60_000.0).abs() < 0.05);
         assert!((est.jaccard() - 1.0 / 3.0).abs() < 0.08);
     }
@@ -185,10 +176,7 @@ mod tests {
     fn joint_mle_recovers_moderate_intersections() {
         let (a, b) = build_pair(30_000, 30_000, 10_000, 12);
         let est = joint_mle(&a, &b).unwrap();
-        assert!(
-            ((est.intersection - 10_000.0) / 10_000.0).abs() < 0.25,
-            "{est:?}"
-        );
+        assert!(((est.intersection - 10_000.0) / 10_000.0).abs() < 0.25, "{est:?}");
         assert!(((est.union - 70_000.0) / 70_000.0).abs() < 0.06, "{est:?}");
     }
 
@@ -230,10 +218,7 @@ mod tests {
         let (a, b) = build_pair(50_000, 50_000, 0, 12);
         let est = joint_mle(&a, &b).unwrap();
         // Intersection should be a small fraction of the union.
-        assert!(
-            est.intersection < 0.05 * est.union,
-            "spurious intersection: {est:?}"
-        );
+        assert!(est.intersection < 0.05 * est.union, "spurious intersection: {est:?}");
     }
 
     #[test]

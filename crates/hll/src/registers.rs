@@ -77,11 +77,7 @@ impl BitPacked {
     pub fn set(&mut self, i: usize, value: u32) {
         assert!(i < self.len, "cell {i} out of bounds ({})", self.len);
         let mask = Self::mask(self.width);
-        assert!(
-            u64::from(value) <= mask,
-            "value {value} does not fit in {} bits",
-            self.width
-        );
+        assert!(u64::from(value) <= mask, "value {value} does not fit in {} bits", self.width);
         let bit = (i as u64) * u64::from(self.width);
         let word = (bit / 64) as usize;
         let offset = (bit % 64) as u32;

@@ -24,10 +24,9 @@ pub enum HllError {
 impl std::fmt::Display for HllError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::ParameterMismatch { left, right } => write!(
-                f,
-                "HLL parameter mismatch: (p, cap) = {left:?} vs {right:?}"
-            ),
+            Self::ParameterMismatch { left, right } => {
+                write!(f, "HLL parameter mismatch: (p, cap) = {left:?} vs {right:?}")
+            }
             Self::OracleMismatch => write!(f, "HLL sketches use different random oracles"),
         }
     }
@@ -78,12 +77,7 @@ impl HyperLogLog {
         assert!((4..=24).contains(&p), "p = {p} out of 4..=24");
         assert!((1..=64).contains(&cap), "cap = {cap} out of 1..=64");
         let width = 32 - cap.leading_zeros(); // bits to hold 0..=cap
-        Self {
-            p,
-            cap,
-            oracle,
-            registers: BitPacked::new(width, 1 << p),
-        }
+        Self { p, cap, oracle, registers: BitPacked::new(width, 1 << p) }
     }
 
     /// Number of registers `m = 2^p`.
@@ -208,10 +202,7 @@ mod tests {
                 let e = h.cardinality();
                 let n = (i + 1) as f64;
                 let tol = if n < 10_000.0 { 0.05 } else { 0.06 };
-                assert!(
-                    ((e - n) / n).abs() < tol,
-                    "at n={n}: estimate {e}"
-                );
+                assert!(((e - n) / n).abs() < tol, "at n={n}: estimate {e}");
                 next_check *= 10;
             }
         }
@@ -269,10 +260,7 @@ mod tests {
     fn mismatched_parameters_refuse_to_merge() {
         let a = HyperLogLog::new(8);
         let b = HyperLogLog::new(10);
-        assert!(matches!(
-            a.union(&b),
-            Err(HllError::ParameterMismatch { .. })
-        ));
+        assert!(matches!(a.union(&b), Err(HllError::ParameterMismatch { .. })));
         let c = HyperLogLog::with_oracle(8, 63, RandomOracle::with_seed(99));
         assert_eq!(a.union(&c), Err(HllError::OracleMismatch));
     }

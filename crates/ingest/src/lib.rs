@@ -292,13 +292,9 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
-        let got = ingest(
-            params(),
-            RandomOracle::with_seed(1),
-            0u64..20_000,
-            IngestOptions::default(),
-        )
-        .unwrap();
+        let got =
+            ingest(params(), RandomOracle::with_seed(1), 0u64..20_000, IngestOptions::default())
+                .unwrap();
         assert_eq!(got, sequential(20_000));
     }
 

@@ -300,8 +300,7 @@ mod tests {
 
     #[test]
     fn diff_reports_both_directions() {
-        let baseline =
-            vec![BaselineEntry { rule: "r".into(), file: "f".into(), line: 1 }];
+        let baseline = vec![BaselineEntry { rule: "r".into(), file: "f".into(), line: 1 }];
         let findings = vec![d("r", "f", 2)];
         let diff = diff(&findings, &baseline);
         assert_eq!(diff.new.len(), 1);

@@ -85,8 +85,7 @@ pub fn check_workspace(root: &Path, config: &Config) -> io::Result<Report> {
             let rel = file.strip_prefix(root).unwrap_or(&file).to_string_lossy().replace('\\', "/");
             let is_bin = rel.ends_with("/main.rs") || rel.contains("/bin/");
             let pf = ParsedFile::parse(&rel, is_bin, &text);
-            let ctx =
-                FileCtx { crate_name: &krate.name, path: &rel, is_bin, src: &pf.src, config };
+            let ctx = FileCtx { crate_name: &krate.name, path: &rel, is_bin, src: &pf.src, config };
             let diags = raw.entry(rel.clone()).or_default();
             for rule in all_rules() {
                 if rule_applies(config, rule.name(), &krate.name) {
@@ -220,9 +219,10 @@ fn apply_suppressions(src: &SourceFile, path: &str, raw: Vec<Diagnostic>) -> Vec
     let mut used = vec![false; src.suppressions.len()];
     let mut out: Vec<Diagnostic> = Vec::new();
     for diag in raw {
-        let matched = src.suppressions.iter().enumerate().find(|(_, s)| {
-            s.applies_to == diag.line && s.rules.iter().any(|r| r == &diag.rule)
-        });
+        let matched =
+            src.suppressions.iter().enumerate().find(|(_, s)| {
+                s.applies_to == diag.line && s.rules.iter().any(|r| r == &diag.rule)
+            });
         match matched {
             Some((i, s)) if !s.reason.is_empty() => used[i] = true,
             Some((i, _)) => {

@@ -9,8 +9,7 @@ use hmh_lint::baseline::{diff, parse_baseline, render_baseline, render_diff_json
 use hmh_lint::diag::{json_str, render_human, render_json};
 use hmh_lint::rules::{all_rules, known_rule_names, workspace_rules};
 use hmh_lint::{
-    check_workspace, collect_suppressions, discovered_crate_names, find_workspace_root,
-    load_config,
+    check_workspace, collect_suppressions, discovered_crate_names, find_workspace_root, load_config,
 };
 
 const USAGE: &str = "\
@@ -138,11 +137,7 @@ fn check(flags: &[String]) -> ExitCode {
             eprintln!("cannot write {}: {e}", path.display());
             return ExitCode::from(2);
         }
-        eprintln!(
-            "hmh-lint: wrote {} entries to {}",
-            report.diagnostics.len(),
-            path.display()
-        );
+        eprintln!("hmh-lint: wrote {} entries to {}", report.diagnostics.len(), path.display());
         return ExitCode::SUCCESS;
     }
 

@@ -69,9 +69,10 @@ fn guard_helpers(files: &[&ParsedFile]) -> std::collections::BTreeMap<String, St
             if !GUARD_TYPES.iter().any(|g| f.ret_type.contains(g)) {
                 continue;
             }
-            let direct = f.calls.iter().find(|c| {
-                HELPER_ACQUIRES.contains(&c.callee.as_str()) && c.receiver.is_some()
-            });
+            let direct = f
+                .calls
+                .iter()
+                .find(|c| HELPER_ACQUIRES.contains(&c.callee.as_str()) && c.receiver.is_some());
             if let Some(c) = direct {
                 out.insert(f.name.clone(), c.receiver.clone().unwrap_or_default());
             }
@@ -81,7 +82,10 @@ fn guard_helpers(files: &[&ParsedFile]) -> std::collections::BTreeMap<String, St
 }
 
 /// Resolve one call site to the lock it acquires, if any.
-fn resolve_lock(c: &CallSite, helpers: &std::collections::BTreeMap<String, String>) -> Option<String> {
+fn resolve_lock(
+    c: &CallSite,
+    helpers: &std::collections::BTreeMap<String, String>,
+) -> Option<String> {
     if DIRECT_ACQUIRES.contains(&c.callee.as_str()) {
         if let Some(r) = &c.receiver {
             return Some(r.clone());
@@ -93,10 +97,7 @@ fn resolve_lock(c: &CallSite, helpers: &std::collections::BTreeMap<String, Strin
 }
 
 /// All acquisitions in one function, with live regions.
-fn acquires_in(
-    f: &FnModel,
-    helpers: &std::collections::BTreeMap<String, String>,
-) -> Vec<Acquire> {
+fn acquires_in(f: &FnModel, helpers: &std::collections::BTreeMap<String, String>) -> Vec<Acquire> {
     let mut out = Vec::new();
     for c in &f.calls {
         let Some(lock) = resolve_lock(c, helpers) else { continue };
@@ -199,11 +200,8 @@ fn dfs_cycles<'a>(
             // Cycle: path[at..] + back-edge. Canonical form rotates the
             // smallest lock name to the front so each cycle reports once.
             let cycle: Vec<String> = path[at..].iter().map(|s| (*s).to_string()).collect();
-            let min_at = cycle
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| s.as_str())
-                .map_or(0, |(i, _)| i);
+            let min_at =
+                cycle.iter().enumerate().min_by_key(|(_, s)| s.as_str()).map_or(0, |(i, _)| i);
             let mut canon = cycle.clone();
             canon.rotate_left(min_at);
             if reported.insert(canon.clone()) {
@@ -216,11 +214,7 @@ fn dfs_cycles<'a>(
                         shown[0], shown[1]
                     )
                 } else {
-                    format!(
-                        "lock acquisition cycle: {} → {}",
-                        shown.join(" → "),
-                        shown[0]
-                    )
+                    format!("lock acquisition cycle: {} → {}", shown.join(" → "), shown[0])
                 };
                 out.push(
                     Diagnostic::new("lock-order", Severity::Error, file, *line, 1, msg).with_note(
@@ -240,7 +234,11 @@ fn dfs_cycles<'a>(
 
 /// `blocking-under-lock`: a configured blocking call reached while a
 /// guard is lexically live.
-pub fn check_blocking_under_lock(files: &[&ParsedFile], config: &Config, out: &mut Vec<Diagnostic>) {
+pub fn check_blocking_under_lock(
+    files: &[&ParsedFile],
+    config: &Config,
+    out: &mut Vec<Diagnostic>,
+) {
     let blocking: Vec<String> = config
         .get_list("rules.blocking-under-lock.blocking_calls")
         .map(<[String]>::to_vec)

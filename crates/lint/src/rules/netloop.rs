@@ -68,10 +68,8 @@ pub fn check_unbounded_net_loop(files: &[&ParsedFile], config: &Config, out: &mu
                     continue;
                 }
                 let in_region = |line: usize| line >= lp.header_line && line <= lp.end_line;
-                let Some(net) = f
-                    .calls
-                    .iter()
-                    .find(|c| in_region(c.line) && net_calls.contains(&c.callee))
+                let Some(net) =
+                    f.calls.iter().find(|c| in_region(c.line) && net_calls.contains(&c.callee))
                 else {
                     continue;
                 };

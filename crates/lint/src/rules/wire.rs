@@ -90,10 +90,7 @@ pub fn check_wire_drift(files: &[&ParsedFile], config: &Config, out: &mut Vec<Di
                 continue;
             }
             if let Some(v) = c.value {
-                sites
-                    .entry(key)
-                    .or_default()
-                    .push(Site { file: &pf.rel, line: c.line, value: v });
+                sites.entry(key).or_default().push(Site { file: &pf.rel, line: c.line, value: v });
             }
         }
     }
@@ -140,11 +137,8 @@ pub fn check_wire_drift(files: &[&ParsedFile], config: &Config, out: &mut Vec<Di
                     continue;
                 }
                 let Some(all) = members.get(group) else { continue };
-                let missing: Vec<&str> = all
-                    .iter()
-                    .filter(|k| !referenced.contains(k))
-                    .map(String::as_str)
-                    .collect();
+                let missing: Vec<&str> =
+                    all.iter().filter(|k| !referenced.contains(k)).map(String::as_str).collect();
                 if missing.is_empty() {
                     continue;
                 }

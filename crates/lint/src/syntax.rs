@@ -283,11 +283,8 @@ impl<'a> Parser<'a> {
         let semi = self.find_at_depth0(i + 2, hi, &[";"]);
         let eq = self.find_at_depth0(i + 2, semi, &["="]);
         let value = if eq < semi { self.eval_const_expr(eq + 1, semi) } else { None };
-        let qualified = if mod_path.is_empty() {
-            name
-        } else {
-            format!("{}::{name}", mod_path.join("::"))
-        };
+        let qualified =
+            if mod_path.is_empty() { name } else { format!("{}::{name}", mod_path.join("::")) };
         self.model.consts.push(ConstDef { name: qualified, line, value });
         semi + 1
     }
@@ -546,7 +543,15 @@ impl<'a> Parser<'a> {
                 }
                 _ => {
                     if self.is_ident(i) && self.text(i + 1) == "(" && !NON_CALLEES.contains(&t) {
-                        self.record_call(i, hi, fnm, &open_stack, &close_line, body_end_line, &active_let);
+                        self.record_call(
+                            i,
+                            hi,
+                            fnm,
+                            &open_stack,
+                            &close_line,
+                            body_end_line,
+                            &active_let,
+                        );
                     }
                     i += 1;
                 }
@@ -645,10 +650,8 @@ impl<'a> Parser<'a> {
             after += 1;
         }
         let chained = self.text(after) == ".";
-        let scope_end = open_stack
-            .last()
-            .and_then(|o| close_line.get(o).copied())
-            .unwrap_or(body_end_line);
+        let scope_end =
+            open_stack.last().and_then(|o| close_line.get(o).copied()).unwrap_or(body_end_line);
         let bound_var = match active_let {
             Some((var, semi, at_depth)) if i < *semi && open_stack.len() == *at_depth => {
                 Some(var.clone())
@@ -656,8 +659,7 @@ impl<'a> Parser<'a> {
             _ => None,
         };
         if callee == "drop" && self.is_ident(i + 2) && self.text(i + 3) == ")" {
-            fnm.drops
-                .push(DropCall { var: ident_name(self.text(i + 2)).to_string(), line });
+            fnm.drops.push(DropCall { var: ident_name(self.text(i + 2)).to_string(), line });
         }
         fnm.calls.push(CallSite { callee, receiver, line, bound_var, scope_end, chained });
     }
@@ -781,10 +783,7 @@ impl<'a> Parser<'a> {
                 if self.is_ident(a) && !NON_CALLEES.contains(&self.text(a)) {
                     let mut path = ident_name(self.text(a)).to_string();
                     let mut b = a + 1;
-                    while self.text(b) == ":"
-                        && self.text(b + 1) == ":"
-                        && self.is_ident(b + 2)
-                    {
+                    while self.text(b) == ":" && self.text(b + 1) == ":" && self.is_ident(b + 2) {
                         path.push_str("::");
                         path.push_str(ident_name(self.text(b + 2)));
                         b += 3;
@@ -838,9 +837,7 @@ fn parse_int_literal(text: &str) -> Option<i128> {
         (clean.as_str(), 10)
     };
     // Strip a type suffix (`u8`…`usize`, `i8`…`isize`).
-    let end = digits
-        .find(|c: char| !c.is_digit(radix))
-        .unwrap_or(digits.len());
+    let end = digits.find(|c: char| !c.is_digit(radix)).unwrap_or(digits.len());
     if end == 0 {
         return None;
     }
@@ -910,7 +907,9 @@ mod tests {
 
     #[test]
     fn indexed_receiver_normalizes_to_field() {
-        let m = model("fn f(&self, g: usize) {\n    let t = self.trackers[g].lock();\n    t.go();\n}\n");
+        let m = model(
+            "fn f(&self, g: usize) {\n    let t = self.trackers[g].lock();\n    t.go();\n}\n",
+        );
         let lock = m.fns[0].calls.iter().find(|c| c.callee == "lock").unwrap();
         assert_eq!(lock.receiver.as_deref(), Some("trackers"));
         assert_eq!(lock.bound_var.as_deref(), Some("t"));
@@ -956,9 +955,19 @@ mod tests {
         assert_eq!(m.matches.len(), 2);
         let outer = &m.matches[0];
         assert!(outer.pattern_paths.contains(&"op::PUT".to_string()));
-        assert!(outer.pattern_paths.contains(&"op::DELETE".to_string()), "{:?}", outer.pattern_paths);
-        assert!(!outer.pattern_paths.contains(&"op::GET".to_string()), "arm values are not patterns");
-        assert!(!outer.pattern_paths.contains(&"status::OK".to_string()), "nested match patterns stay theirs");
+        assert!(
+            outer.pattern_paths.contains(&"op::DELETE".to_string()),
+            "{:?}",
+            outer.pattern_paths
+        );
+        assert!(
+            !outer.pattern_paths.contains(&"op::GET".to_string()),
+            "arm values are not patterns"
+        );
+        assert!(
+            !outer.pattern_paths.contains(&"status::OK".to_string()),
+            "nested match patterns stay theirs"
+        );
         assert!(outer.has_wildcard);
         let inner = &m.matches[1];
         assert!(inner.pattern_paths.contains(&"status::OK".to_string()));

@@ -16,16 +16,16 @@ fn workspace_root() -> PathBuf {
 /// Lines are part of the pin on purpose: a suppression that drifts to a
 /// different statement is a different decision and deserves a re-read.
 const INVENTORY: &[(&str, usize, &str)] = &[
-    ("crates/cli/src/lib.rs", 1309, "durability"),
+    ("crates/cli/src/lib.rs", 1319, "durability"),
     ("crates/core/src/params.rs", 86, "shift-overflow-hazard"),
     ("crates/core/src/params.rs", 92, "shift-overflow-hazard"),
     ("crates/core/src/params.rs", 103, "shift-overflow-hazard"),
     ("crates/core/src/sparse.rs", 153, "panic-in-lib"),
-    ("crates/hll/src/sketch.rs", 91, "shift-overflow-hazard"),
+    ("crates/hll/src/sketch.rs", 85, "shift-overflow-hazard"),
     ("crates/minhash/src/kpartition.rs", 75, "shift-overflow-hazard"),
     ("crates/store/src/backend.rs", 86, "durability"),
     ("crates/store/src/backend.rs", 108, "durability"),
-    ("crates/store/src/fault.rs", 373, "durability"),
+    ("crates/store/src/fault.rs", 369, "durability"),
 ];
 
 #[test]

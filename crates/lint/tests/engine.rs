@@ -121,10 +121,10 @@ fn per_file_rules_run_inside_the_discovered_workspace() {
 // wire-drift across crates
 // -----------------------------------------------------------------
 
-const DRIFT_CFG: &str = "[rules.wire-drift]\ncrates = [\"alpha\", \"beta\"]\nconst_groups = [\"op\"]\n";
+const DRIFT_CFG: &str =
+    "[rules.wire-drift]\ncrates = [\"alpha\", \"beta\"]\nconst_groups = [\"op\"]\n";
 
-const ALPHA_OPS: &str =
-    "pub mod op {\n    pub const PUT: u8 = 1;\n    pub const GET: u8 = 2;\n}\n";
+const ALPHA_OPS: &str = "pub mod op {\n    pub const PUT: u8 = 1;\n    pub const GET: u8 = 2;\n}\n";
 
 #[test]
 fn wire_drift_fires_when_two_crates_disagree_on_an_opcode() {

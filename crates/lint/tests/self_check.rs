@@ -46,8 +46,23 @@ fn every_workspace_crate_is_discovered_and_declared() {
     let root = workspace_root();
     let discovered = hmh_lint::discovered_crate_names(&root).expect("discovery succeeds");
     for krate in [
-        "bench", "cli", "cnf", "core", "hash", "hll", "hyperminhash", "ingest", "lint", "math",
-        "minhash", "replica", "route", "serve", "simulate", "store", "workloads",
+        "bench",
+        "cli",
+        "cnf",
+        "core",
+        "hash",
+        "hll",
+        "hyperminhash",
+        "ingest",
+        "lint",
+        "math",
+        "minhash",
+        "replica",
+        "route",
+        "serve",
+        "simulate",
+        "store",
+        "workloads",
     ] {
         assert!(discovered.iter().any(|c| c == krate), "crate `{krate}` not discovered");
     }
@@ -72,12 +87,7 @@ fn committed_baseline_matches_the_current_findings() {
         .expect("lint-baseline.json is committed at the workspace root");
     let baseline = hmh_lint::baseline::parse_baseline(&text).expect("baseline parses");
     let diff = hmh_lint::baseline::diff(&report.diagnostics, &baseline);
-    assert!(
-        diff.is_clean(),
-        "ratchet drifted — new: {:?}, stale: {:?}",
-        diff.new,
-        diff.stale
-    );
+    assert!(diff.is_clean(), "ratchet drifted — new: {:?}, stale: {:?}", diff.new, diff.stale);
 }
 
 #[test]

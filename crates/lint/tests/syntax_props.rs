@@ -22,16 +22,8 @@ struct StmtShape {
 
 const STMTS: &[StmtShape] = &[
     StmtShape { text: "    touch();\n", callees: &["touch"], loops: &[] },
-    StmtShape {
-        text: "    let data = sock.read_frame();\n",
-        callees: &["read_frame"],
-        loops: &[],
-    },
-    StmtShape {
-        text: "    let len = frames[i].encode();\n",
-        callees: &["encode"],
-        loops: &[],
-    },
+    StmtShape { text: "    let data = sock.read_frame();\n", callees: &["read_frame"], loops: &[] },
+    StmtShape { text: "    let len = frames[i].encode();\n", callees: &["encode"], loops: &[] },
     StmtShape {
         text: "    loop {\n        step();\n        break;\n    }\n",
         callees: &["step"],
@@ -62,7 +54,9 @@ const STMTS: &[StmtShape] = &[
 /// Generate a file whose consts, calls and loops are known by
 /// construction; return the source plus the expectations.
 #[allow(clippy::type_complexity)]
-fn gen_file(rng: &mut StdRng) -> (String, Vec<(String, Option<i128>)>, Vec<(Vec<String>, Vec<LoopKind>)>) {
+fn gen_file(
+    rng: &mut StdRng,
+) -> (String, Vec<(String, Option<i128>)>, Vec<(Vec<String>, Vec<LoopKind>)>) {
     let mut src = String::new();
     let mut consts: Vec<(String, Option<i128>)> = Vec::new();
     let mut fns: Vec<(Vec<String>, Vec<LoopKind>)> = Vec::new();
@@ -81,7 +75,8 @@ fn gen_file(rng: &mut StdRng) -> (String, Vec<(String, Option<i128>)>, Vec<(Vec<
                 consts.push((qualified, Some(v)));
             }
             1 => {
-                let (a, b) = (i128::from(rng.gen_range(0i64..50)), i128::from(rng.gen_range(0i64..50)));
+                let (a, b) =
+                    (i128::from(rng.gen_range(0i64..50)), i128::from(rng.gen_range(0i64..50)));
                 src.push_str(&format!("pub const {name}: u64 = {a} + {b} * 2;\n"));
                 consts.push((qualified, Some(a + b * 2)));
             }
@@ -185,8 +180,8 @@ fn parser_is_total_on_ascii_noise() {
 #[test]
 fn parser_is_total_on_keyword_soup() {
     const WORDS: &[&str] = &[
-        "fn", "const", "mod", "loop", "while", "for", "match", "let", "drop", "{", "}", "(",
-        ")", "=>", "=", ";", "::", ".", "lock", "<", ">", "->", "in", "if", "u64", "1", "r#fn",
+        "fn", "const", "mod", "loop", "while", "for", "match", "let", "drop", "{", "}", "(", ")",
+        "=>", "=", ";", "::", ".", "lock", "<", ">", "->", "in", "if", "u64", "1", "r#fn",
     ];
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x5bf0_3635_u64 ^ case);

@@ -208,19 +208,13 @@ mod tests {
             })),
             Outcome::Unavailable
         );
-        assert_eq!(
-            classify::<()>(&Err(ClientError::NotFound("x".into()))),
-            Outcome::TypedOther
-        );
+        assert_eq!(classify::<()>(&Err(ClientError::NotFound("x".into()))), Outcome::TypedOther);
         assert_eq!(
             classify::<()>(&Err(ClientError::Io(std::io::Error::other("reset")))),
             Outcome::Transport
         );
         assert_eq!(
-            classify::<()>(&Err(ClientError::AllReplicasDown {
-                attempts: 2,
-                last_errors: vec![],
-            })),
+            classify::<()>(&Err(ClientError::AllReplicasDown { attempts: 2, last_errors: vec![] })),
             Outcome::Transport
         );
     }

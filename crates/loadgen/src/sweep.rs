@@ -325,10 +325,7 @@ mod tests {
 
     #[test]
     fn contract_fails_on_goodput_collapse() {
-        let s = sweep_of(
-            phase(1000, 0, 0, 2),
-            vec![(4, phase(100, 3000, 0, 2))],
-        );
+        let s = sweep_of(phase(1000, 0, 0, 2), vec![(4, phase(100, 3000, 0, 2))]);
         let err = degradation_ok(&s, 0.7).unwrap_err();
         assert!(err.contains("collapsed"), "{err}");
         assert!(err.contains("4x"), "{err}");

@@ -9,7 +9,7 @@
 
 use std::time::{Duration, Instant};
 
-use hmh_loadgen::{degradation_ok, sweep, LoadOptions, Mix, Pacing, run, SweepOptions};
+use hmh_loadgen::{degradation_ok, run, sweep, LoadOptions, Mix, Pacing, SweepOptions};
 use hmh_serve::{serve, Client, FrontOptions, ServeOptions};
 use hmh_store::StoreOptions;
 
@@ -17,8 +17,11 @@ struct TempDir(std::path::PathBuf);
 
 impl TempDir {
     fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir()
-            .join(format!("hmh-loadgen-{tag}-{}-{:?}", std::process::id(), std::thread::current().id()));
+        let dir = std::env::temp_dir().join(format!(
+            "hmh-loadgen-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("create temp store dir");
         TempDir(dir)
@@ -38,11 +41,7 @@ fn start(dir: &TempDir) -> hmh_serve::ServerHandle {
         self_path(dir),
         "127.0.0.1:0",
         ServeOptions {
-            front: FrontOptions {
-                workers: 2,
-                queue_depth: 8,
-                ..FrontOptions::default()
-            },
+            front: FrontOptions { workers: 2, queue_depth: 8, ..FrontOptions::default() },
             store: StoreOptions::no_sleep(),
             ..ServeOptions::default()
         },

@@ -168,12 +168,8 @@ impl BigFloat {
             return self.clone();
         }
         let drop = bits - prec;
-        Self {
-            negative: self.negative,
-            mant: self.mant.shr(drop),
-            exp: self.exp + drop as i64,
-        }
-        .normalized()
+        Self { negative: self.negative, mant: self.mant.shr(drop), exp: self.exp + drop as i64 }
+            .normalized()
     }
 
     /// Strip trailing zero bits from the mantissa (keeps the value,
@@ -206,9 +202,7 @@ impl BigFloat {
             (true, false) => {
                 return if other.negative { Ordering::Greater } else { Ordering::Less }
             }
-            (false, true) => {
-                return if self.negative { Ordering::Less } else { Ordering::Greater }
-            }
+            (false, true) => return if self.negative { Ordering::Less } else { Ordering::Greater },
             _ => {}
         }
         match (self.negative, other.negative) {

@@ -206,11 +206,8 @@ impl BigUint {
             return (0.0, 0);
         }
         // Take the top 64 bits, then scale.
-        let top = if bits <= 64 {
-            self.shl(64 - bits).limbs[0]
-        } else {
-            self.shr(bits - 64).limbs[0]
-        };
+        let top =
+            if bits <= 64 { self.shl(64 - bits).limbs[0] } else { self.shr(bits - 64).limbs[0] };
         // top has its MSB set; value ≈ top · 2^(bits-64).
         (top as f64 / 2f64.powi(64), bits as i64)
     }
@@ -296,10 +293,7 @@ mod tests {
         // (2^128 - 1)^2 = 2^256 - 2^129 + 1
         let a = BigUint::from_u128(u128::MAX);
         let sq = a.mul(&a);
-        let expect = BigUint::one()
-            .shl(256)
-            .sub(&BigUint::one().shl(129))
-            .add(&BigUint::one());
+        let expect = BigUint::one().shl(256).sub(&BigUint::one().shl(129)).add(&BigUint::one());
         assert_eq!(sq, expect);
     }
 

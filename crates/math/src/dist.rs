@@ -240,10 +240,7 @@ mod tests {
             let mean: f64 =
                 (0..trials).map(|_| min_of_k_uniforms(k, &mut r)).sum::<f64>() / trials as f64;
             let expect = 1.0 / (k + 1.0);
-            assert!(
-                ((mean - expect) / expect).abs() < 0.05,
-                "k={k}: {mean} vs {expect}"
-            );
+            assert!(((mean - expect) / expect).abs() < 0.05, "k={k}: {mean} vs {expect}");
         }
     }
 
@@ -335,10 +332,7 @@ mod tests {
         assert_eq!(total, n, "counts must sum exactly");
         let expect = n / 64.0;
         for (i, &c) in counts.iter().enumerate() {
-            assert!(
-                ((c - expect) / expect).abs() < 0.05,
-                "bucket {i}: {c} vs {expect}"
-            );
+            assert!(((c - expect) / expect).abs() < 0.05, "bucket {i}: {c} vs {expect}");
         }
     }
 

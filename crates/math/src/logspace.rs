@@ -120,10 +120,7 @@ mod tests {
         assert_eq!(naive, 0.0, "sanity: naive evaluation cancels to zero");
         let got = pow1m_diff(b1, b2, n);
         let expect = n * (b2 - b1); // first-order, error O((n·b)²)
-        assert!(
-            ((got - expect) / expect).abs() < 1e-9,
-            "{got} vs {expect}"
-        );
+        assert!(((got - expect) / expect).abs() < 1e-9, "{got} vs {expect}");
     }
 
     #[test]

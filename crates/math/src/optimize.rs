@@ -100,11 +100,7 @@ pub fn nelder_mead_max<F: FnMut(&[f64]) -> f64>(
         }
 
         let lerp = |t: f64| -> Vec<f64> {
-            centroid
-                .iter()
-                .zip(&simplex[n].0)
-                .map(|(&c, &w)| c + t * (c - w))
-                .collect()
+            centroid.iter().zip(&simplex[n].0).map(|(&c, &w)| c + t * (c - w)).collect()
         };
 
         let reflected = lerp(1.0);
@@ -168,12 +164,7 @@ mod tests {
     fn nelder_mead_quadratic_bowl_3d() {
         let target = [1.0, -2.0, 3.0];
         let (x, fx) = nelder_mead_max(
-            |v| {
-                -v.iter()
-                    .zip(&target)
-                    .map(|(&a, &b)| (a - b) * (a - b))
-                    .sum::<f64>()
-            },
+            |v| -v.iter().zip(&target).map(|(&a, &b)| (a - b) * (a - b)).sum::<f64>(),
             &[0.0, 0.0, 0.0],
             &[1.0, 1.0, 1.0],
             1e-14,

@@ -75,9 +75,8 @@ impl BBitMinHash {
         if self.seed_tag != other.seed_tag {
             return Err(MinHashError::OracleMismatch);
         }
-        let matching = (0..self.k())
-            .filter(|&i| self.registers.get(i) == other.registers.get(i))
-            .count();
+        let matching =
+            (0..self.k()).filter(|&i| self.registers.get(i) == other.registers.get(i)).count();
         let m_frac = matching as f64 / self.k() as f64;
         let c = 2f64.powi(-(self.b as i32));
         Ok(((m_frac - c) / (1.0 - c)).clamp(0.0, 1.0))
@@ -118,10 +117,7 @@ mod tests {
             let j = fa.jaccard(&fb).unwrap();
             // The corrected b-bit estimate should track the full estimate.
             let tol = if bits == 1 { 0.12 } else { 0.08 };
-            assert!(
-                (j - full_j).abs() < tol,
-                "b={bits}: {j} vs full {full_j}"
-            );
+            assert!((j - full_j).abs() < tol, "b={bits}: {j} vs full {full_j}");
         }
     }
 

@@ -33,9 +33,7 @@ pub mod rebalance;
 pub mod ring;
 pub mod router;
 
-pub use rebalance::{
-    plan_moves, rebalance, RebalanceError, RebalanceOptions, RebalanceReport,
-};
+pub use rebalance::{plan_moves, rebalance, RebalanceError, RebalanceOptions, RebalanceReport};
 pub use ring::{
     GroupConfig, Ring, RingConfig, RingError, DEFAULT_VNODES, MAX_GROUPS, MAX_GROUP_REPLICAS,
     MAX_VNODES, RING_SEED,

@@ -42,7 +42,9 @@ use std::time::Duration;
 use hmh_core::format;
 use hmh_replica::{fetch_digests, SyncError};
 use hmh_serve::proto::{Request, Response};
-use hmh_serve::{typed_response, Client, ClientError, ClientOptions, MAX_PIPELINE_DEPTH, MAX_SYNC_NAMES};
+use hmh_serve::{
+    typed_response, Client, ClientError, ClientOptions, MAX_PIPELINE_DEPTH, MAX_SYNC_NAMES,
+};
 use hmh_store::RetryPolicy;
 
 use crate::ring::{Ring, RingError};
@@ -209,7 +211,12 @@ pub fn rebalance(
         let moved = group_moves(new_ring, &group.id, &group.replicas, opts)?;
         report.moved = report.moved.saturating_add(moved.len() as u64);
         for (name, new_owner) in moved {
-            match handoff(&name, &group.replicas, new_ring.groups()[new_owner].replicas.as_slice(), opts)? {
+            match handoff(
+                &name,
+                &group.replicas,
+                new_ring.groups()[new_owner].replicas.as_slice(),
+                opts,
+            )? {
                 Handoff::Completed => report.handoffs = report.handoffs.saturating_add(1),
                 Handoff::Vanished => report.vanished = report.vanished.saturating_add(1),
             }
@@ -376,22 +383,16 @@ fn verify_dominates<'a>(
     stored: &[u8],
     payloads: impl Iterator<Item = &'a Vec<u8>>,
 ) -> Result<(), RebalanceError> {
-    let verify_err = |detail: String| RebalanceError::Verify {
-        name: name.to_string(),
-        replica,
-        detail,
-    };
-    let decoded =
-        format::decode(stored).map_err(|e| verify_err(format!("stored bytes: {e}")))?;
+    let verify_err =
+        |detail: String| RebalanceError::Verify { name: name.to_string(), replica, detail };
+    let decoded = format::decode(stored).map_err(|e| verify_err(format!("stored bytes: {e}")))?;
     for payload in payloads {
         let source =
             format::decode(payload).map_err(|e| verify_err(format!("source bytes: {e}")))?;
         let mut folded = decoded.clone();
         folded.merge(&source).map_err(|e| verify_err(format!("incompatible: {e}")))?;
         if format::encode(&folded) != stored {
-            return Err(verify_err(
-                "destination does not dominate the source payload".into(),
-            ));
+            return Err(verify_err("destination does not dominate the source payload".into()));
         }
     }
     Ok(())

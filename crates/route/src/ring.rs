@@ -109,10 +109,9 @@ impl fmt::Display for RingError {
                  or contains whitespace"
             ),
             RingError::DuplicateGroup(id) => write!(f, "group id {id:?} appears twice"),
-            RingError::BadReplicaCount { group, count } => write!(
-                f,
-                "group {group:?} has {count} replicas; need 1..={MAX_GROUP_REPLICAS}"
-            ),
+            RingError::BadReplicaCount { group, count } => {
+                write!(f, "group {group:?} has {count} replicas; need 1..={MAX_GROUP_REPLICAS}")
+            }
             RingError::BadVnodes(v) => write!(f, "vnodes {v} outside 1..={MAX_VNODES}"),
             RingError::Parse { line, detail } => write!(f, "ring config line {line}: {detail}"),
         }
@@ -195,9 +194,9 @@ impl RingConfig {
         let mut vnodes = None;
         let mut groups = Vec::new();
         for (line, l) in lines {
-            let (key, rest) = l.split_once(' ').ok_or_else(|| {
-                parse_err(line, format!("bad line {l:?}; want \"key value\""))
-            })?;
+            let (key, rest) = l
+                .split_once(' ')
+                .ok_or_else(|| parse_err(line, format!("bad line {l:?}; want \"key value\"")))?;
             match key {
                 "epoch" => {
                     let v = rest

@@ -43,9 +43,7 @@ use hmh_serve::front::{self, Disposition, FrontEnd, FrontHandle, FrontOptions, H
 use hmh_serve::proto::{
     ErrCode, Health, Request, Response, ScrubReport, MAX_LIST_NAMES, MAX_SCRUB_PAGE,
 };
-use hmh_serve::{
-    typed_response, Client, ClientError, ClientOptions, FailoverClient, RetryBudget,
-};
+use hmh_serve::{typed_response, Client, ClientError, ClientOptions, FailoverClient, RetryBudget};
 
 use crate::ring::Ring;
 
@@ -205,11 +203,7 @@ pub fn route(
     // clients (and DELETE's per-replica clients) share it, so N workers
     // facing one sick group spend one bounded pool of retries.
     let mut opts = opts;
-    let budget = opts
-        .shard
-        .budget
-        .get_or_insert_with(|| Arc::new(RetryBudget::default()))
-        .clone();
+    let budget = opts.shard.budget.get_or_insert_with(|| Arc::new(RetryBudget::default())).clone();
 
     let liveness = Liveness::new(&ring, opts.backoff_cap);
     let (front, shared) = front::start(addr, opts.front.clone(), "hmh-route", |front| Shared {
@@ -367,11 +361,12 @@ fn forward(shared: &Shared, shards: &mut ShardClients, name: &str, request: &Req
     if !shared.liveness.should_attempt(group) {
         return unavailable(shared, group, "group is in down-backoff");
     }
-    let result = shards.groups[group]
-        .pipeline(std::slice::from_ref(request))
-        .and_then(|mut replies| match replies.pop() {
-            Some(reply) if replies.is_empty() => typed_response(reply),
-            _ => Err(ClientError::BadReply("expected exactly one pipelined reply".into())),
+    let result =
+        shards.groups[group].pipeline(std::slice::from_ref(request)).and_then(|mut replies| {
+            match replies.pop() {
+                Some(reply) if replies.is_empty() => typed_response(reply),
+                _ => Err(ClientError::BadReply("expected exactly one pipelined reply".into())),
+            }
         });
     respond(shared, group, result)
 }
@@ -709,4 +704,3 @@ fn scatter_health(shared: &Shared, shards: &mut ShardClients) -> Health {
         ..front
     }
 }
-

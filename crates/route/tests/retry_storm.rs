@@ -358,9 +358,7 @@ fn flapping_replica_drops_a_half_full_pipeline_without_dial_amplification() {
                 );
                 served += 1;
             }
-            Err(
-                ClientError::RetryBudgetExhausted | ClientError::BreakerOpen { .. },
-            ) => {}
+            Err(ClientError::RetryBudgetExhausted | ClientError::BreakerOpen { .. }) => {}
             Err(other) => panic!("round {round}: untyped pipelined failure: {other}"),
         }
     }

@@ -179,11 +179,8 @@ fn lookups_and_planning_survive_serialization_round_trip() {
         // plan_moves against an identical-membership ring is empty for
         // every group: serialization introduces no phantom moves.
         for group in direct.groups() {
-            let owned: Vec<&str> = all
-                .iter()
-                .filter(|n| direct.owner(n).id == group.id)
-                .map(String::as_str)
-                .collect();
+            let owned: Vec<&str> =
+                all.iter().filter(|n| direct.owner(n).id == group.id).map(String::as_str).collect();
             assert!(
                 plan_moves(&round_tripped, &group.id, owned).is_empty(),
                 "case {case}: round-trip ring plans moves for unchanged membership"

@@ -22,9 +22,7 @@ use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use hmh_core::{HmhParams, HyperMinHash};
-use hmh_route::{
-    rebalance, route, RebalanceOptions, Ring, RingConfig, RouteOptions, RouterHandle,
-};
+use hmh_route::{rebalance, route, RebalanceOptions, Ring, RingConfig, RouteOptions, RouterHandle};
 use hmh_serve::{
     serve, Client, ClientError, ClientOptions, ErrCode, FrontOptions, ServeOptions, ServerHandle,
 };
@@ -79,12 +77,8 @@ fn shard_opts() -> ClientOptions {
 }
 
 fn start_router(ring: Ring) -> RouterHandle {
-    route(
-        ring,
-        "127.0.0.1:0",
-        RouteOptions { shard: shard_opts(), ..RouteOptions::default() },
-    )
-    .unwrap()
+    route(ring, "127.0.0.1:0", RouteOptions { shard: shard_opts(), ..RouteOptions::default() })
+        .unwrap()
 }
 
 fn client(addr: SocketAddr) -> Client {
@@ -159,16 +153,14 @@ fn routed_ops_answer_what_the_owning_daemon_would() {
         via.put(name, &sketch(lo, lo + 500)).unwrap();
         via.merge(name, &sketch(lo + 400, lo + 900)).unwrap();
     }
-    let owners: BTreeSet<String> =
-        names.iter().map(|n| ring.owner(n).id.clone()).collect();
+    let owners: BTreeSet<String> = names.iter().map(|n| ring.owner(n).id.clone()).collect();
     assert_eq!(owners.len(), 2, "40 names landed on one group; ring is degenerate");
 
     // GET and CARD via the router agree bit-for-bit with the owning
     // daemon, and the name exists on *only* that daemon.
     for name in &names {
         let owner_addr = ring.owner(name).replicas[0];
-        let other_addr =
-            if owner_addr == node_a.addr() { node_b.addr() } else { node_a.addr() };
+        let other_addr = if owner_addr == node_a.addr() { node_b.addr() } else { node_a.addr() };
         let direct = client(owner_addr).get(name).unwrap();
         let routed = via.get(name).unwrap();
         assert_eq!(
@@ -193,8 +185,7 @@ fn routed_ops_answer_what_the_owning_daemon_would() {
         }
         (split.0.unwrap(), split.1.unwrap())
     };
-    let expected =
-        via.get(&na).unwrap().jaccard(&via.get(&nb).unwrap()).unwrap().estimate;
+    let expected = via.get(&na).unwrap().jaccard(&via.get(&nb).unwrap()).unwrap().estimate;
     assert_eq!(via.jaccard(&na, &nb).unwrap(), expected);
 
     // The whole-store list, a LIST_PAGE walk that refuses partial pages,
@@ -303,10 +294,8 @@ fn partitioned_group_degrades_typed_and_bounded_never_hanging() {
 
 #[test]
 fn rebalance_is_lossless_exclusive_and_visible_in_health() {
-    let dirs: Vec<TempDir> = ["reb-a", "reb-b", "reb-c1", "reb-c2"]
-        .iter()
-        .map(|t| TempDir::new(t))
-        .collect();
+    let dirs: Vec<TempDir> =
+        ["reb-a", "reb-b", "reb-c1", "reb-c2"].iter().map(|t| TempDir::new(t)).collect();
     let nodes: Vec<ServerHandle> = dirs.iter().map(start).collect();
     let (a, b, c1, c2) = (nodes[0].addr(), nodes[1].addr(), nodes[2].addr(), nodes[3].addr());
 
@@ -331,10 +320,8 @@ fn rebalance_is_lossless_exclusive_and_visible_in_health() {
 
     // Exclusivity: each name lives on exactly one group (both replicas
     // of group c count as one owner), and the union is everything.
-    let lists: Vec<BTreeSet<String>> = [a, b, c1]
-        .iter()
-        .map(|&addr| client(addr).list().unwrap().into_iter().collect())
-        .collect();
+    let lists: Vec<BTreeSet<String>> =
+        [a, b, c1].iter().map(|&addr| client(addr).list().unwrap().into_iter().collect()).collect();
     let mut union = BTreeSet::new();
     for name in &names {
         let holders = lists.iter().filter(|l| l.contains(name)).count();
@@ -374,8 +361,7 @@ fn rebalance_is_lossless_exclusive_and_visible_in_health() {
 
 #[test]
 fn crashed_and_duplicated_handoffs_are_absorbed() {
-    let dirs: Vec<TempDir> =
-        ["dup-a", "dup-b", "dup-c"].iter().map(|t| TempDir::new(t)).collect();
+    let dirs: Vec<TempDir> = ["dup-a", "dup-b", "dup-c"].iter().map(|t| TempDir::new(t)).collect();
     let nodes: Vec<ServerHandle> = dirs.iter().map(start).collect();
     let (a, b, c) = (nodes[0].addr(), nodes[1].addr(), nodes[2].addr());
 
@@ -390,8 +376,7 @@ fn crashed_and_duplicated_handoffs_are_absorbed() {
         seed_router.join();
     }
     let new = ring_of(2, &[("a", &[a]), ("b", &[b]), ("c", &[c])]);
-    let moving: Vec<String> =
-        names.iter().filter(|n| new.owner(n).id == "c").cloned().collect();
+    let moving: Vec<String> = names.iter().filter(|n| new.owner(n).id == "c").cloned().collect();
     assert!(!moving.is_empty());
 
     // Simulate a rebalancer crash between copy and release: the moving
@@ -427,10 +412,8 @@ fn crashed_and_duplicated_handoffs_are_absorbed() {
     }
 
     // Nothing lost, nothing double-owned.
-    let lists: Vec<BTreeSet<String>> = [a, b, c]
-        .iter()
-        .map(|&addr| client(addr).list().unwrap().into_iter().collect())
-        .collect();
+    let lists: Vec<BTreeSet<String>> =
+        [a, b, c].iter().map(|&addr| client(addr).list().unwrap().into_iter().collect()).collect();
     for name in &names {
         assert_eq!(lists.iter().filter(|l| l.contains(name)).count(), 1, "{name:?}");
     }

@@ -785,15 +785,11 @@ impl Client {
     /// configured, each retry (never the first attempt) must buy a
     /// token.
     fn request(&mut self, request: &Request) -> Result<Response, ClientError> {
-        let deadline =
-            self.deadline.or_else(|| self.opts.op_budget.map(|b| Instant::now() + b));
+        let deadline = self.deadline.or_else(|| self.opts.op_budget.map(|b| Instant::now() + b));
         let budget = self.opts.budget.clone();
         // Without a deadline the body is attempt-invariant: encode once.
-        let flat_body = if deadline.is_none() {
-            Some(encode_request_budget(request, 0))
-        } else {
-            None
-        };
+        let flat_body =
+            if deadline.is_none() { Some(encode_request_budget(request, 0)) } else { None };
         // Clone per call: `run_gated` consumes jitter state; cloning
         // keeps each call's schedule starting from the policy's seed,
         // deterministic under test.
@@ -803,8 +799,8 @@ impl Client {
                 let body = if let Some(body) = &flat_body {
                     body.clone()
                 } else {
-                    let d = deadline
-                        .expect("invariant: flat_body is None only when a deadline is set");
+                    let d =
+                        deadline.expect("invariant: flat_body is None only when a deadline is set");
                     let Some(ms) = remaining_budget_ms(d) else {
                         return Err(expired_error());
                     };
@@ -1079,7 +1075,15 @@ impl FailoverClient {
         let replicas: Vec<Client> =
             addrs.iter().map(|&addr| Client::with_options(addr, opts.clone())).collect();
         let breakers = vec![Breaker::new(); replicas.len()];
-        Self { replicas, breakers, current: 0, attempts: attempts.max(1), ops: 0, budget, breaker_refusals: None }
+        Self {
+            replicas,
+            breakers,
+            current: 0,
+            attempts: attempts.max(1),
+            ops: 0,
+            budget,
+            breaker_refusals: None,
+        }
     }
 
     /// Count breaker-open refusals into `counter` (shared with the

@@ -38,10 +38,10 @@ pub mod front;
 pub mod proto;
 pub mod server;
 
-pub use front::FrontOptions;
 pub use client::{
     typed_response, Breaker, Client, ClientError, ClientOptions, FailoverClient, RetryBudget,
 };
+pub use front::FrontOptions;
 pub use proto::{
     DigestEntry, ErrCode, Health, PeerHealth, PeerState, ProtoError, Request, Response,
     ScrubReport, SyncEntry, MAX_BATCH_ITEMS, MAX_BUDGET_MS, MAX_DIGEST_ENTRIES, MAX_FRAME_LEN,

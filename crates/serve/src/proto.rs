@@ -1184,7 +1184,8 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             out.extend_from_slice(&report.quarantined.to_le_bytes());
             out.extend_from_slice(&report.last_scrub_age_ms.to_le_bytes());
             assert!(report.names.len() <= MAX_SCRUB_PAGE, "invariant: servers cap scrub pages");
-            let count = u16::try_from(report.names.len()).expect("invariant: MAX_SCRUB_PAGE fits u16");
+            let count =
+                u16::try_from(report.names.len()).expect("invariant: MAX_SCRUB_PAGE fits u16");
             out.extend_from_slice(&count.to_le_bytes());
             for name in &report.names {
                 push_name(&mut out, name);
@@ -1599,10 +1600,7 @@ mod tests {
         let claim = u32::try_from(MAX_BATCH_ITEMS + 1).unwrap();
         assert_eq!(
             decode_request(&header(claim)),
-            Err(ProtoError::FieldTooLarge {
-                got: MAX_BATCH_ITEMS + 1,
-                max: MAX_BATCH_ITEMS
-            })
+            Err(ProtoError::FieldTooLarge { got: MAX_BATCH_ITEMS + 1, max: MAX_BATCH_ITEMS })
         );
         // Oversize item: length over MAX_ITEM_LEN is rejected unread.
         let mut b = header(1);
@@ -1892,10 +1890,7 @@ mod tests {
         b.extend_from_slice(&u16::try_from(MAX_DIGEST_ENTRIES + 1).unwrap().to_le_bytes());
         assert_eq!(
             decode_response(&b),
-            Err(ProtoError::FieldTooLarge {
-                got: MAX_DIGEST_ENTRIES + 1,
-                max: MAX_DIGEST_ENTRIES
-            })
+            Err(ProtoError::FieldTooLarge { got: MAX_DIGEST_ENTRIES + 1, max: MAX_DIGEST_ENTRIES })
         );
         // SKETCHES response whose payload claims more than the format ceiling.
         let mut b = vec![status::SKETCHES];

@@ -32,7 +32,9 @@ use hmh_core::format::{self, FormatError};
 use hmh_core::jaccard::jaccard_with_cardinalities;
 use hmh_core::{CollisionCorrection, HmhParams, HyperMinHash};
 use hmh_hash::RandomOracle;
-use hmh_store::{FileBackend, RetryPolicy, SketchStore, StoreError, StoreOptions, SCRUB_SLICE_BYTES};
+use hmh_store::{
+    FileBackend, RetryPolicy, SketchStore, StoreError, StoreOptions, SCRUB_SLICE_BYTES,
+};
 
 use crate::front::{self, Disposition, FrontEnd, FrontHandle, FrontOptions, Handler, POLL_TICK};
 use crate::proto::{
@@ -312,11 +314,7 @@ impl Handler for Shared {
     }
 }
 
-fn digest_page(
-    store: &SketchStore<FileBackend>,
-    after: &str,
-    limit: usize,
-) -> Vec<DigestEntry> {
+fn digest_page(store: &SketchStore<FileBackend>, after: &str, limit: usize) -> Vec<DigestEntry> {
     store
         .digest_page(after, limit)
         .into_iter()

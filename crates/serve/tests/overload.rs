@@ -19,8 +19,7 @@ struct TempDir(std::path::PathBuf);
 
 impl TempDir {
     fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir()
-            .join(format!("hmh-overload-{tag}-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("hmh-overload-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("create temp store dir");
         TempDir(dir)

@@ -930,10 +930,7 @@ fn bit_rot_on_one_replica_is_fenced_read_repaired_and_reconverges() {
     }
 
     let peers_of = |i: usize| -> Vec<SocketAddr> {
-        (0..3)
-            .filter(|&j| j != i)
-            .map(|j| if j == 1 { proxy_b.addr } else { addrs[j] })
-            .collect()
+        (0..3).filter(|&j| j != i).map(|j| if j == 1 { proxy_b.addr } else { addrs[j] }).collect()
     };
     let engine_a =
         AntiEntropy::spawn(addrs[0], &peers_of(0), handles[0].replication(), engine_opts(0xB17A))

@@ -105,7 +105,7 @@ mod tests {
     #[test]
     fn boundary_between_capped_and_uncapped() {
         let p = params(3, 4); // cap = 7
-        // Leading one at exactly cap−1 = 6 → uncapped.
+                              // Leading one at exactly cap−1 = 6 → uncapped.
         let (c, _) = encode_min(p, 2f64.powi(-6));
         assert_eq!(c, 6);
         // Leading one at cap = 7 → capped, and the window sees that bit.

@@ -4,8 +4,8 @@
 //! joint-MLE vs HyperMinHash) when the union sizes exceed insertion range.
 
 use crate::overlap::SimSpec;
-use hmh_hll::HyperLogLog;
 use hmh_hash::RandomOracle;
+use hmh_hll::HyperLogLog;
 use hmh_math::dist::{min_of_k_uniforms, multinomial_pow2};
 use rand::Rng;
 
@@ -27,12 +27,7 @@ fn component_minima<R: Rng + ?Sized>(count: f64, p: u32, rng: &mut R) -> Vec<Opt
 }
 
 /// Simulate a single HLL sketch of an `n`-element set.
-pub fn simulate_hll_single<R: Rng + ?Sized>(
-    p: u32,
-    cap: u32,
-    n: f64,
-    rng: &mut R,
-) -> HyperLogLog {
+pub fn simulate_hll_single<R: Rng + ?Sized>(p: u32, cap: u32, n: f64, rng: &mut R) -> HyperLogLog {
     let mut sketch = HyperLogLog::with_oracle(p, cap, RandomOracle::default());
     for (bucket, v) in component_minima(n, p, rng).into_iter().enumerate() {
         if let Some(v) = v {

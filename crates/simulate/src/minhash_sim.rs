@@ -6,9 +6,9 @@
 //! gives exactly the distribution of the inserted sketch.
 
 use crate::overlap::SimSpec;
+use hmh_hash::RandomOracle;
 use hmh_math::dist::{min_of_k_uniforms, multinomial_pow2};
 use hmh_minhash::KPartitionMinHash;
-use hmh_hash::RandomOracle;
 use rand::Rng;
 
 fn truncate(v: f64, bits: u32) -> u32 {
@@ -135,10 +135,7 @@ mod tests {
             }
             if s + i > 40.0 {
                 let sigma = ((s + i) / 2.0).sqrt();
-                assert!(
-                    (s - i).abs() < 6.0 * sigma,
-                    "bin {bin}: simulated {s} vs inserted {i}"
-                );
+                assert!((s - i).abs() < 6.0 * sigma, "bin {bin}: simulated {s} vs inserted {i}");
             }
         }
     }

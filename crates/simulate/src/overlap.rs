@@ -58,11 +58,7 @@ impl SimSpec {
 /// Per-bucket component minima for one simulated set component: bucket
 /// occupancies drawn multinomially, then a `Beta(1, k)` minimum per
 /// occupied bucket (`None` for empty buckets).
-fn component_minima<R: Rng + ?Sized>(
-    count: f64,
-    p: u32,
-    rng: &mut R,
-) -> Vec<Option<f64>> {
+fn component_minima<R: Rng + ?Sized>(count: f64, p: u32, rng: &mut R) -> Vec<Option<f64>> {
     multinomial_pow2(count, p, rng)
         .into_iter()
         .map(|k| (k > 0.0).then(|| min_of_k_uniforms(k, rng)))
@@ -175,10 +171,7 @@ mod tests {
             let spec = SimSpec::equal_sized_with_jaccard(1e6, t);
             let (a, b) = simulate_hmh_pair(params, spec, &mut r);
             let est = jaccard(&a, &b, CollisionCorrection::None).unwrap().estimate;
-            assert!(
-                (est - t).abs() < 0.03 + 0.02 * t,
-                "t={t}: estimate {est}"
-            );
+            assert!((est - t).abs() < 0.03 + 0.02 * t, "t={t}: estimate {est}");
         }
     }
 
@@ -190,12 +183,7 @@ mod tests {
         let spec = SimSpec::equal_sized_with_jaccard(1e19, 0.01);
         let (a, b) = simulate_hmh_pair(params, spec, &mut r);
         let est = jaccard(&a, &b, CollisionCorrection::Approx).unwrap();
-        assert!(
-            (est.estimate - 0.01).abs() < 0.004,
-            "estimate {} (raw {})",
-            est.estimate,
-            est.raw
-        );
+        assert!((est.estimate - 0.01).abs() < 0.004, "estimate {} (raw {})", est.estimate, est.raw);
         let card = a.cardinality();
         assert!((card / 1e19 - 1.0).abs() < 0.05, "cardinality {card:e}");
     }
@@ -259,10 +247,7 @@ mod tests {
             let (s, i) = (sim_hist[k], ins_hist[k]);
             if s + i > 50.0 {
                 let sigma = ((s + i) / 2.0).sqrt();
-                assert!(
-                    (s - i).abs() < 6.0 * sigma,
-                    "counter {k}: simulated {s} vs inserted {i}"
-                );
+                assert!((s - i).abs() < 6.0 * sigma, "counter {k}: simulated {s} vs inserted {i}");
             }
         }
     }

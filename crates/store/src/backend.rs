@@ -152,7 +152,8 @@ mod tests {
     use super::*;
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("hmh-store-backend-{tag}-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("hmh-store-backend-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir

@@ -100,11 +100,7 @@ impl Backend for MemBackend {
     }
 
     fn append(&mut self, path: &Path, data: &[u8]) -> io::Result<()> {
-        self.files
-            .borrow_mut()
-            .entry(path.to_path_buf())
-            .or_default()
-            .extend_from_slice(data);
+        self.files.borrow_mut().entry(path.to_path_buf()).or_default().extend_from_slice(data);
         Ok(())
     }
 

@@ -206,7 +206,13 @@ fn attribute_region(buf: &[u8], start: usize, end: usize) -> Vec<CorruptSpan> {
         }
     }
     if spans.is_empty() {
-        spans.push(CorruptSpan { offset: start, len: end - start, name: None, expected: 0, actual: 0 });
+        spans.push(CorruptSpan {
+            offset: start,
+            len: end - start,
+            name: None,
+            expected: 0,
+            actual: 0,
+        });
     }
     spans
 }

@@ -239,10 +239,7 @@ impl SketchStore<FileBackend> {
     }
 
     /// [`Self::open`] with explicit options.
-    pub fn open_opts(
-        dir: impl Into<PathBuf>,
-        options: StoreOptions,
-    ) -> Result<Self, StoreError> {
+    pub fn open_opts(dir: impl Into<PathBuf>, options: StoreOptions) -> Result<Self, StoreError> {
         let dir = dir.into();
         FileBackend.ensure_dir(&dir)?;
         let lock = StoreLock::acquire(&dir).map_err(StoreError::Locked)?;
@@ -694,8 +691,7 @@ impl<B: Backend> SketchStore<B> {
             // pass starts clean. Fenced names are *not* repaired by
             // this (they have no bytes to rewrite); they stay fenced.
             self.compact()?;
-            self.scrub_stats.repaired +=
-                (out.findings.len() as u64).saturating_sub(newly_fenced);
+            self.scrub_stats.repaired += (out.findings.len() as u64).saturating_sub(newly_fenced);
         }
         Ok(out)
     }
@@ -920,8 +916,7 @@ mod tests {
 
     #[test]
     fn file_store_is_single_writer_both_orders() {
-        let dir = std::env::temp_dir()
-            .join(format!("hmh-store-lock-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("hmh-store-lock-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
         // Order 1: first opener holds, second fails fast with Locked.

@@ -44,8 +44,7 @@ impl ExactSet {
 
     /// `|self ∩ other|`.
     pub fn intersection_size(&self, other: &Self) -> usize {
-        let (small, large) =
-            if self.len() <= other.len() { (self, other) } else { (other, self) };
+        let (small, large) = if self.len() <= other.len() { (self, other) } else { (other, self) };
         small.items.iter().filter(|i| large.items.contains(i)).count()
     }
 
@@ -73,11 +72,8 @@ impl ExactSet {
 
     /// Intersection with another set.
     pub fn intersection(&self, other: &Self) -> Self {
-        let (small, large) =
-            if self.len() <= other.len() { (self, other) } else { (other, self) };
-        Self {
-            items: small.items.iter().filter(|i| large.items.contains(i)).copied().collect(),
-        }
+        let (small, large) = if self.len() <= other.len() { (self, other) } else { (other, self) };
+        Self { items: small.items.iter().filter(|i| large.items.contains(i)).copied().collect() }
     }
 }
 

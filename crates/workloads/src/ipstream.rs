@@ -11,8 +11,8 @@
 //!   carries over to the next day, giving known day-over-day overlap
 //!   structure.
 
-use hmh_math::dist::ZipfSampler;
 use hmh_hash::splitmix::mix64;
+use hmh_math::dist::ZipfSampler;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -67,9 +67,8 @@ pub fn generate(config: IpStreamConfig, days: usize) -> Vec<Day> {
         // Sliding window over the injective label sequence: day d's pool is
         // labels [d·fresh, d·fresh + pool_size).
         let start = (day * fresh_per_day) as u64;
-        let pool: Vec<u64> = (0..config.pool_size as u64)
-            .map(|i| ip_label(config.seed, start + i))
-            .collect();
+        let pool: Vec<u64> =
+            (0..config.pool_size as u64).map(|i| ip_label(config.seed, start + i)).collect();
         let packets: Vec<u64> =
             (0..config.packets_per_day).map(|_| pool[zipf.sample(&mut rng) - 1]).collect();
         out.push(Day { pool, packets });
@@ -104,7 +103,12 @@ mod tests {
 
     #[test]
     fn pools_have_exact_size_and_overlap() {
-        let cfg = IpStreamConfig { pool_size: 1000, packets_per_day: 5000, carryover: 0.3, ..Default::default() };
+        let cfg = IpStreamConfig {
+            pool_size: 1000,
+            packets_per_day: 5000,
+            carryover: 0.3,
+            ..Default::default()
+        };
         let days = generate(cfg, 4);
         assert_eq!(days.len(), 4);
         for d in &days {
@@ -132,7 +136,12 @@ mod tests {
 
     #[test]
     fn zipf_makes_heavy_hitters() {
-        let cfg = IpStreamConfig { pool_size: 1000, packets_per_day: 50_000, zipf_s: 1.2, ..Default::default() };
+        let cfg = IpStreamConfig {
+            pool_size: 1000,
+            packets_per_day: 50_000,
+            zipf_s: 1.2,
+            ..Default::default()
+        };
         let days = generate(cfg, 1);
         let mut counts = std::collections::HashMap::new();
         for &ip in &days[0].packets {

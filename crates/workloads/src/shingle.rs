@@ -51,9 +51,29 @@ pub fn shingles(text: &str, w: usize) -> Vec<u64> {
 /// near-duplicates.
 pub fn synthetic_document(words: usize, seed: u64, mutation_rate: f64) -> String {
     const VOCAB: [&str; 24] = [
-        "stream", "sketch", "jaccard", "union", "bucket", "hash", "minimum", "counter",
-        "mantissa", "collision", "estimate", "cardinality", "index", "partition", "document",
-        "query", "survey", "network", "packet", "distinct", "probability", "random", "oracle",
+        "stream",
+        "sketch",
+        "jaccard",
+        "union",
+        "bucket",
+        "hash",
+        "minimum",
+        "counter",
+        "mantissa",
+        "collision",
+        "estimate",
+        "cardinality",
+        "index",
+        "partition",
+        "document",
+        "query",
+        "survey",
+        "network",
+        "packet",
+        "distinct",
+        "probability",
+        "random",
+        "oracle",
         "bitstring",
     ];
     let mut out = String::new();

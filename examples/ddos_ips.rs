@@ -68,9 +68,6 @@ fn main() {
         days[..4].iter().flat_map(|d| d.packets.iter().copied()).collect();
     let today_exact: std::collections::HashSet<u64> = days[4].packets.iter().copied().collect();
     let exact = prev_exact.intersection(&today_exact).count();
-    println!(
-        "\n|day4 ∩ (day0 ∪ … ∪ day3)|: estimate {:.0}, exact {exact}",
-        est.intersection
-    );
+    println!("\n|day4 ∩ (day0 ∪ … ∪ day3)|: estimate {:.0}, exact {exact}", est.intersection);
     println!("sample attacker IP from day 4: {}", ipstream::as_ipv4(days[4].pool[0]));
 }

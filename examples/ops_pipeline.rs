@@ -61,8 +61,5 @@ fn main() {
     }
     let downgraded = restored.reduce_r(6).expect("r only shrinks");
     let merged = downgraded.union(&legacy).expect("same parameters now");
-    println!(
-        "\nmerged across precisions: estimate {:.0} (truth 350000)",
-        merged.cardinality()
-    );
+    println!("\nmerged across precisions: estimate {:.0} (truth 350000)", merged.cardinality());
 }

@@ -44,6 +44,9 @@ fn main() {
     let bytes = serde_json::to_vec(&a).expect("serializable");
     let restored: HyperMinHash = serde_json::from_slice(&bytes).expect("round-trips");
     assert_eq!(restored, a);
-    println!("\nserialized sketch: {} JSON bytes (registers pack to {} raw)",
-        bytes.len(), params.byte_size());
+    println!(
+        "\nserialized sketch: {} JSON bytes (registers pack to {} raw)",
+        bytes.len(),
+        params.byte_size()
+    );
 }

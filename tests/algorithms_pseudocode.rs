@@ -3,8 +3,8 @@
 
 use hyperminhash::prelude::*;
 use hyperminhash::sketch::collisions::{
-    approx_expected_collisions, expected_collisions, expected_collisions_bigfloat,
-    theorem1_bound, theorem2_variance_bound,
+    approx_expected_collisions, expected_collisions, expected_collisions_bigfloat, theorem1_bound,
+    theorem2_variance_bound,
 };
 use hyperminhash::sketch::jaccard::{jaccard, CollisionCorrection};
 
@@ -74,10 +74,7 @@ fn algorithm3_cardinality_across_scales() {
             let est = sketch.cardinality();
             let n = (i + 1) as f64;
             let tol = if n < 1000.0 { 0.12 } else { 0.07 };
-            assert!(
-                (est / n - 1.0).abs() < tol,
-                "at n={n}: estimate {est}"
-            );
+            assert!((est / n - 1.0).abs() < tol, "at n={n}: estimate {est}");
             next_check *= 10;
         }
     }
@@ -125,9 +122,6 @@ fn algorithm5_bigfloat_crosscheck() {
     for &n in &[100u128, 10_000, 1 << 30] {
         let fast = expected_collisions(params, n as f64, n as f64);
         let reference = expected_collisions_bigfloat(params, n, n, 192);
-        assert!(
-            ((fast - reference) / reference).abs() < 1e-9,
-            "n={n}: {fast} vs {reference}"
-        );
+        assert!(((fast - reference) / reference).abs() < 1e-9, "n={n}: {fast} vs {reference}");
     }
 }

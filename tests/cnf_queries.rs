@@ -98,21 +98,13 @@ fn ip_workload_day_over_day() {
 
     let ans = eval::query(&cat, "day0 & day1").expect("evaluates");
     let truth = observed[0].intersection(&observed[1]).count() as f64;
-    assert!(
-        (ans.count / truth - 1.0).abs() < 0.15,
-        "estimate {} vs truth {truth}",
-        ans.count
-    );
+    assert!((ans.count / truth - 1.0).abs() < 0.15, "estimate {} vs truth {truth}", ans.count);
 
     // (day0 ∪ day1) ∩ day2.
     let ans = eval::query(&cat, "(day0 | day1) & day2").expect("evaluates");
     let union01: HashSet<u64> = observed[0].union(&observed[1]).copied().collect();
     let truth = union01.intersection(&observed[2]).count() as f64;
-    assert!(
-        (ans.count / truth - 1.0).abs() < 0.15,
-        "estimate {} vs truth {truth}",
-        ans.count
-    );
+    assert!((ans.count / truth - 1.0).abs() < 0.15, "estimate {} vs truth {truth}", ans.count);
 }
 
 #[test]

@@ -46,10 +46,7 @@ fn cardinality_consensus() {
         ("bottom-k", kmv.cardinality()),
         ("k-partition", kp.cardinality()),
     ] {
-        assert!(
-            (est / n as f64 - 1.0).abs() < 0.1,
-            "{name}: estimate {est} vs {n}"
-        );
+        assert!((est / n as f64 - 1.0).abs() < 0.1, "{name}: estimate {est} vs {n}");
     }
 }
 
@@ -58,10 +55,12 @@ fn cardinality_consensus() {
 fn jaccard_consensus() {
     let oracle = RandomOracle::default();
     let params = HmhParams::new(11, 6, 10).unwrap();
-    let spec = hyperminhash::workloads::pairs::OverlapSpec::equal_sized_with_jaccard(30_000, 1.0 / 3.0);
+    let spec =
+        hyperminhash::workloads::pairs::OverlapSpec::equal_sized_with_jaccard(30_000, 1.0 / 3.0);
     let (items_a, items_b) = hyperminhash::workloads::pairs::pair_with_overlap(spec, 3);
 
-    let mut hmh = (HyperMinHash::with_oracle(params, oracle), HyperMinHash::with_oracle(params, oracle));
+    let mut hmh =
+        (HyperMinHash::with_oracle(params, oracle), HyperMinHash::with_oracle(params, oracle));
     let mut kmv = (BottomK::new(1024, oracle), BottomK::new(1024, oracle));
     let mut kh = (KHashMinHash::new(256, oracle), KHashMinHash::new(256, oracle));
     for &x in &items_a {
@@ -88,9 +87,8 @@ fn jaccard_consensus() {
 #[test]
 fn union_chains() {
     let params = HmhParams::new(8, 5, 8).unwrap();
-    let chunks: Vec<HyperMinHash> = (0..8u64)
-        .map(|c| HyperMinHash::from_items(params, (c * 1000)..((c + 1) * 1000)))
-        .collect();
+    let chunks: Vec<HyperMinHash> =
+        (0..8u64).map(|c| HyperMinHash::from_items(params, (c * 1000)..((c + 1) * 1000))).collect();
     let mut acc = chunks[0].clone();
     for c in &chunks[1..] {
         acc.merge(c).unwrap();

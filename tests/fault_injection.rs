@@ -113,8 +113,7 @@ fn run_schedule(seed: u64) -> usize {
                     match store.put_encoded(name, &value) {
                         Ok(()) => {
                             memory.insert(name, value.clone());
-                            *plausible.get_mut(name).unwrap() =
-                                Plausible::exactly(Some(value));
+                            *plausible.get_mut(name).unwrap() = Plausible::exactly(Some(value));
                         }
                         Err(_) => {
                             // The record may or may not have landed.
@@ -260,8 +259,7 @@ fn bit_rot_sweep_scrub_repairs_live_and_fences_at_reopen() {
 /// true encoded payload per name.
 fn build_reference_image() -> (MemBackend, HashMap<&'static str, Vec<u8>>) {
     let mem = MemBackend::new();
-    let mut store =
-        SketchStore::open_with(mem.clone(), DIR, StoreOptions::no_sleep()).unwrap();
+    let mut store = SketchStore::open_with(mem.clone(), DIR, StoreOptions::no_sleep()).unwrap();
     let mut truth = HashMap::new();
     for (i, name) in ["alpha", "beta", "gamma"].into_iter().enumerate() {
         let v = payload(500 + i as u64);
@@ -301,12 +299,9 @@ fn single_bit_flip_sweep_quarantines_only_hit_records() {
         let mut bounds = Vec::new();
         let mut pos = 0usize;
         for record in &salvage.records {
-            let len = hyperminhash::store::log::encode_record(
-                &record.name,
-                record.kind,
-                &record.payload,
-            )
-            .len();
+            let len =
+                hyperminhash::store::log::encode_record(&record.name, record.kind, &record.payload)
+                    .len();
             bounds.push((pos, pos + len, record.name.clone()));
             pos += len;
         }
@@ -316,8 +311,7 @@ fn single_bit_flip_sweep_quarantines_only_hit_records() {
             for bit in 0..8u32 {
                 let disk = image_with(file, bytes, other);
                 assert!(disk.flip_bit(&Path::new(DIR).join(file), byte, bit));
-                let store =
-                    SketchStore::open_with(disk, DIR, StoreOptions::no_sleep()).unwrap();
+                let store = SketchStore::open_with(disk, DIR, StoreOptions::no_sleep()).unwrap();
                 let hit = &bounds
                     .iter()
                     .find(|(a, b, _)| (*a..*b).contains(&byte))

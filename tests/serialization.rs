@@ -18,10 +18,7 @@ fn hyperminhash_roundtrip_preserves_behaviour() {
     assert_eq!(a, a2);
     // Restored sketches merge and estimate identically.
     assert_eq!(a.union(&b).unwrap(), a2.union(&b).unwrap());
-    assert_eq!(
-        a.jaccard(&b).unwrap().estimate,
-        a2.jaccard(&b).unwrap().estimate
-    );
+    assert_eq!(a.jaccard(&b).unwrap().estimate, a2.jaccard(&b).unwrap().estimate);
     assert_eq!(a.cardinality(), a2.cardinality());
 }
 

@@ -42,10 +42,7 @@ fn jaccard_estimates_match_between_sim_and_insertion() {
     sim_mean /= trials as f64;
     ins_mean /= trials as f64;
     // Each mean has σ ≈ sqrt(t(1−t)/512/25) ≈ 0.004; allow 5σ-ish.
-    assert!(
-        (sim_mean - ins_mean).abs() < 0.025,
-        "simulated {sim_mean} vs inserted {ins_mean}"
-    );
+    assert!((sim_mean - ins_mean).abs() < 0.025, "simulated {sim_mean} vs inserted {ins_mean}");
 }
 
 /// Cardinality estimates agree between the two construction paths.
