@@ -130,11 +130,11 @@ commands:
                               closed-loop peak, then 1x/2x/4x offered
                               overload; fails unless goodput at 4x
                               stays >= F of peak (default 0.7) with
-                              typed rejections; with --pipeline P > 1 a
-                              second calibration prices pipelining and
-                              --min-speedup fails the run unless
-                              pipelined peak >= R x serial peak; --json
-                              writes the BENCH_serve.json artifact
+                              typed rejections; with --pipeline P > 1,
+                              5 serial/pipelined calibration pairs price
+                              pipelining and --min-speedup fails unless
+                              their median ratio >= R; --json writes
+                              the BENCH_serve.json artifact
 ";
 
 /// Run the CLI with pre-split arguments (no program name), writing results
@@ -844,12 +844,12 @@ fn cmd_client(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     match (op.as_str(), rest) {
         ("put", [name, file]) => {
             let sketch = load(file)?;
-            client.put(name, &sketch).map_err(|e| fail("put", e))?;
+            client.call(|c| c.put(name, &sketch)).map_err(|e| fail("put", e))?;
             write_out(out, format!("{addr}: stored {name} ({})\n", sketch.params()))
         }
         ("merge", [name, file]) => {
             let sketch = load(file)?;
-            client.merge(name, &sketch).map_err(|e| fail("merge", e))?;
+            client.call(|c| c.merge(name, &sketch)).map_err(|e| fail("merge", e))?;
             write_out(out, format!("{addr}: merged into {name}\n"))
         }
         ("batch", [name, file, flags @ ..]) => {
@@ -865,14 +865,16 @@ fn cmd_client(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 .filter(|line| !line.is_empty())
                 .map(str::as_bytes)
                 .collect();
-            client.batch_put(name, params, oracle, &items).map_err(|e| fail("batch", e))?;
+            client
+                .call(|c| c.batch_put(name, params, oracle, &items))
+                .map_err(|e| fail("batch", e))?;
             write_out(
                 out,
                 format!("{addr}: ingested {} items into {name} ({params})\n", items.len()),
             )
         }
         ("get", [name, output]) => {
-            let sketch = client.get(name).map_err(|e| fail("get", e))?;
+            let sketch = client.call(|c| c.get(name)).map_err(|e| fail("get", e))?;
             save(output, &sketch)?;
             write_out(
                 out,
@@ -880,22 +882,22 @@ fn cmd_client(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             )
         }
         ("card", [name]) => {
-            let estimate = client.card(name).map_err(|e| fail("card", e))?;
+            let estimate = client.call(|c| c.card(name)).map_err(|e| fail("card", e))?;
             write_out(out, format!("{name}: {estimate:.0}\n"))
         }
         ("jaccard", [a, b]) => {
-            let estimate = client.jaccard(a, b).map_err(|e| fail("jaccard", e))?;
+            let estimate = client.call(|c| c.jaccard(a, b)).map_err(|e| fail("jaccard", e))?;
             write_out(out, format!("jaccard {estimate:.6}\n"))
         }
         ("list", []) => {
-            let names = client.list().map_err(|e| fail("list", e))?;
+            let names = client.call(hmh_serve::Client::list).map_err(|e| fail("list", e))?;
             for name in &names {
                 write_out(out, format!("{name}\n"))?;
             }
             write_out(out, format!("{} sketches\n", names.len()))
         }
         ("health", []) => {
-            let h = client.health().map_err(|e| fail("health", e))?;
+            let h = client.call(hmh_serve::Client::health).map_err(|e| fail("health", e))?;
             write_out(
                 out,
                 format!(
@@ -952,7 +954,7 @@ fn cmd_client(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             // `--status` only reads the counters and the quarantine page
             // (safe against a read-only daemon, which refuses the trigger).
             let trigger = rest.is_empty();
-            let report = client.scrub(trigger, "").map_err(|e| fail("scrub", e))?;
+            let report = client.call(|c| c.scrub(trigger, "")).map_err(|e| fail("scrub", e))?;
             write_out(
                 out,
                 format!(
@@ -1251,8 +1253,9 @@ fn cmd_loadgen(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 write_out(
                     out,
                     format!(
-                        "pipeline speedup: {:.2}x over the serial peak\n",
-                        sweep.pipeline_speedup().unwrap_or(0.0)
+                        "pipeline speedup: {:.2}x over the serial peak (median of {:.2?})\n",
+                        sweep.pipeline_speedup().unwrap_or(0.0),
+                        sweep.pair_speedups
                     ),
                 )?;
             }

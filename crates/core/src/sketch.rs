@@ -64,9 +64,9 @@ impl HyperMinHash {
     /// top `p` bits, and keep the register encoding the smaller minimum.
     pub fn insert<T: HashableItem + ?Sized>(&mut self, item: &T) {
         let digest = self.oracle.digest(item);
-        let bucket = digest.take_bits(0, self.params.p()) as usize;
-        let (counter, mantissa) =
-            digest.rho_sigma(self.params.p(), self.params.cap(), self.params.r());
+        let params = &self.params;
+        let bucket = digest.take_bits(0, params.p()) as usize;
+        let (counter, mantissa) = digest.rho_sigma(params.p(), params.cap(), params.r());
         self.observe(bucket, counter, mantissa as u32);
     }
 

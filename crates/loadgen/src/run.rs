@@ -101,11 +101,10 @@ pub struct LoadOptions {
     /// Per-operation deadline budget stamped on the wire (v2 frames).
     /// `None` sends v1 frames with no deadline.
     pub budget: Option<Duration>,
-    /// Frames each connection keeps in flight per exchange. `1` is the
-    /// classic one-request-one-reply loop; `2..=MAX_PIPELINE_DEPTH`
-    /// submits that many operations per [`Client::pipeline`] call, so
-    /// one round trip (and, server-side, one vectored write) carries
-    /// the whole window.
+    /// Frames each connection keeps in flight per exchange: every
+    /// [`Client::pipeline`] call submits this many operations, so one
+    /// round trip (and, server-side, one vectored write) carries the
+    /// whole window. `1` is one request, one reply.
     pub pipeline: usize,
     /// Number of distinct sketch names (preloaded before measuring, so
     /// reads never see NOT_FOUND).
@@ -263,10 +262,9 @@ pub fn run(addr: SocketAddr, opts: &LoadOptions) -> Result<Report, LoadgenError>
 
 /// Draw the next operation from a worker's seeded stream.
 ///
-/// Both the serial and the pipelined loops consume the stream through
-/// this one function (three rolls per op, in a fixed order), so the
-/// generated workload at a given seed is identical at every pipeline
-/// depth — only the framing onto the wire differs.
+/// Three rolls per op, in a fixed order, whatever the window size, so
+/// the generated workload at a given seed is identical at every
+/// pipeline depth — only the framing onto the wire differs.
 fn next_request(rng: &mut SplitMix64, opts: &LoadOptions, payload: &[u8]) -> Request {
     let roll = rng.next_u64() % opts.mix.total();
     let key = (rng.next_u64() % opts.keys as u64) as usize;
@@ -279,68 +277,12 @@ fn next_request(rng: &mut SplitMix64, opts: &LoadOptions, payload: &[u8]) -> Req
     }
 }
 
-/// One connection's loop: seeded op stream, pacing, classification.
+/// One connection's loop: each iteration draws a window of `pipeline`
+/// operations from the worker's seeded stream, submits the window as
+/// one pipelined exchange, and classifies every reply slot
+/// individually. Depth 1 is a window of one — the same client path a
+/// single call takes — so every depth prices the same code.
 fn worker(
-    addr: SocketAddr,
-    opts: &LoadOptions,
-    client_opts: ClientOptions,
-    payload: &[u8],
-    index: usize,
-) -> Report {
-    if opts.pipeline > 1 {
-        return worker_pipelined(addr, opts, client_opts, payload, index);
-    }
-    let mut rng = SplitMix64::new(SplitMix64::derive(opts.seed, index as u64));
-    let mut client = Client::with_options(addr, client_opts);
-    let mut report = Report::default();
-    let started = Instant::now();
-    let end = started + opts.duty;
-    // Open-loop schedule: this worker owns every `connections`-th slot
-    // of the global schedule.
-    let interval = match opts.pacing {
-        Pacing::Open { ops_per_sec } if ops_per_sec > 0.0 => {
-            Some(Duration::from_secs_f64(opts.connections as f64 / ops_per_sec))
-        }
-        _ => None,
-    };
-    let mut issued: u32 = 0;
-    while Instant::now() < end {
-        // The latency clock starts at the *scheduled* time under open
-        // pacing (backlog counts as latency), at the issue time under
-        // closed pacing.
-        let op_start = match interval {
-            Some(step) => {
-                let scheduled = started + step.mul_f64(f64::from(issued));
-                let now = Instant::now();
-                if scheduled > now {
-                    thread::sleep(scheduled - now);
-                }
-                if scheduled >= end {
-                    break;
-                }
-                scheduled
-            }
-            None => Instant::now(),
-        };
-        issued = issued.saturating_add(1);
-        let outcome = match next_request(&mut rng, opts, payload) {
-            Request::Put { name, .. } => classify(&client.put_raw(&name, payload)),
-            Request::Card { name } => classify(&client.card(&name)),
-            Request::Jaccard { a, b } => classify(&client.jaccard(&a, &b)),
-            _ => classify(&client.list_page("")),
-        };
-        let latency_us = u64::try_from(op_start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        report.record(outcome, latency_us);
-    }
-    report.elapsed = started.elapsed();
-    report
-}
-
-/// One connection's loop at pipeline depth > 1: each iteration draws a
-/// window of operations from the same seeded stream the serial loop
-/// uses, submits the window as one pipelined exchange, and classifies
-/// every reply slot individually.
-fn worker_pipelined(
     addr: SocketAddr,
     opts: &LoadOptions,
     client_opts: ClientOptions,
@@ -462,7 +404,7 @@ mod tests {
     fn op_stream_is_identical_at_every_pipeline_depth() {
         // The pipelined worker must price the *same* workload, not a
         // reshuffled one: windowing the stream into batches of 8 draws
-        // exactly the ops the serial loop would have drawn one by one.
+        // exactly the ops windows of one would have drawn one by one.
         let opts = LoadOptions::default();
         let payload = payload(opts.seed, 8).expect("payload");
         let mut serial_rng = SplitMix64::new(SplitMix64::derive(opts.seed, 3));

@@ -43,7 +43,7 @@ use hmh_serve::front::{self, Disposition, FrontEnd, FrontHandle, FrontOptions, H
 use hmh_serve::proto::{
     ErrCode, Health, Request, Response, ScrubReport, MAX_LIST_NAMES, MAX_SCRUB_PAGE,
 };
-use hmh_serve::{typed_response, Client, ClientError, ClientOptions, FailoverClient, RetryBudget};
+use hmh_serve::{Client, ClientError, ClientOptions, FailoverClient, RetryBudget};
 
 use crate::ring::Ring;
 
@@ -350,68 +350,64 @@ fn forward_key(request: &Request) -> Option<&str> {
 /// Forward a name-keyed op to the owner group, with liveness gating and
 /// typed degradation: a group in down-backoff, or one whose whole
 /// failover budget failed, answers `UNAVAILABLE` instead of hanging.
-///
-/// The forwarded frame rides the pipelined submission path — a depth-1
-/// batch per inbound frame today, but the same machinery
-/// [`Client::pipeline`] uses, so the length prefix and body coalesce
-/// into one vectored write and every per-slot reply maps back through
-/// the same typed surface the single-shot client methods use.
+/// The decoded request goes back out as is, through the same
+/// [`Client::request`] every typed client call uses.
 fn forward(shared: &Shared, shards: &mut ShardClients, name: &str, request: &Request) -> Response {
     let group = shared.ring.owner_index(name);
     if !shared.liveness.should_attempt(group) {
         return unavailable(shared, group, "group is in down-backoff");
     }
-    let result =
-        shards.groups[group].pipeline(std::slice::from_ref(request)).and_then(|mut replies| {
-            match replies.pop() {
-                Some(reply) if replies.is_empty() => typed_response(reply),
-                _ => Err(ClientError::BadReply("expected exactly one pipelined reply".into())),
-            }
-        });
+    let result = shards.groups[group].call(|c| c.request(request));
     respond(shared, group, result)
 }
 
+/// True when a shard call failed because the group could not answer —
+/// transport exhaustion, a shed, or a refusal from the resilience layer
+/// — rather than with an answer its servers gave (NOT_FOUND, READ_ONLY,
+/// EXPIRED, a typed error). The one rule for marking a group down.
+fn group_down(e: &ClientError) -> bool {
+    matches!(
+        e,
+        ClientError::AllReplicasDown { .. }
+            | ClientError::Io(_)
+            | ClientError::Busy
+            | ClientError::BreakerOpen { .. }
+            | ClientError::RetryBudgetExhausted
+    )
+}
+
 /// Map a shard-call result onto the client-facing wire, recording group
-/// liveness: transport exhaustion marks the group failed, anything the
-/// *servers* answered (including typed errors) marks it alive.
+/// liveness: a failure [`group_down`] names marks the group failed,
+/// anything the *servers* answered (including typed errors) marks it
+/// alive.
 fn respond(shared: &Shared, group: usize, result: Result<Response, ClientError>) -> Response {
-    match result {
+    let e = match result {
         Ok(resp) => {
             shared.liveness.record(group, true);
-            resp
+            return resp;
         }
-        Err(ClientError::AllReplicasDown { attempts, last_errors }) => {
-            shared.liveness.record(group, false);
-            unavailable(
-                shared,
-                group,
-                &format!(
-                    "all replicas down after {attempts} attempts (last: {})",
-                    last_errors.last().map_or("none", String::as_str)
-                ),
-            )
-        }
-        Err(ClientError::Io(e)) => {
-            shared.liveness.record(group, false);
-            unavailable(shared, group, &format!("transport: {e}"))
-        }
-        Err(ClientError::NotFound(name)) => {
-            shared.liveness.record(group, true);
+        Err(e) => e,
+    };
+    shared.liveness.record(group, !group_down(&e));
+    match e {
+        ClientError::AllReplicasDown { attempts, last_errors } => unavailable(
+            shared,
+            group,
+            &format!(
+                "all replicas down after {attempts} attempts (last: {})",
+                last_errors.last().map_or("none", String::as_str)
+            ),
+        ),
+        ClientError::Io(e) => unavailable(shared, group, &format!("transport: {e}")),
+        ClientError::NotFound(name) => {
             Response::Err { code: ErrCode::NotFound, message: format!("no sketch named {name:?}") }
         }
-        Err(ClientError::ReadOnly) => {
-            shared.liveness.record(group, true);
-            Response::ReadOnly
-        }
-        Err(ClientError::Busy) => {
-            shared.liveness.record(group, false);
-            Response::Busy
-        }
+        ClientError::ReadOnly => Response::ReadOnly,
+        ClientError::Busy => Response::Busy,
         // The shard (or the inner client, locally) judged the caller's
         // deadline spent. The group is alive — an EXPIRED frame is an
         // answer — and the refusal relays typed to the caller.
-        Err(ClientError::Expired) => {
-            shared.liveness.record(group, true);
+        ClientError::Expired => {
             shared.front.count_expired();
             Response::Expired
         }
@@ -419,22 +415,11 @@ fn respond(shared: &Shared, group: usize, result: Result<Response, ClientError>)
         // failed at least one attempt (budget) or every breaker is open.
         // Both degrade typed; the budget denial was already counted by
         // the budget itself, the breaker refusal by the shared counter.
-        Err(e @ ClientError::RetryBudgetExhausted) => {
-            shared.liveness.record(group, false);
+        e @ (ClientError::RetryBudgetExhausted | ClientError::BreakerOpen { .. }) => {
             unavailable(shared, group, &e.to_string())
         }
-        Err(e @ ClientError::BreakerOpen { .. }) => {
-            shared.liveness.record(group, false);
-            unavailable(shared, group, &e.to_string())
-        }
-        Err(ClientError::Server { code, message }) => {
-            shared.liveness.record(group, true);
-            Response::Err { code, message }
-        }
-        Err(other) => {
-            shared.liveness.record(group, true);
-            Response::Err { code: ErrCode::Other(0x7e), message: other.to_string() }
-        }
+        ClientError::Server { code, message } => Response::Err { code, message },
+        other => Response::Err { code: ErrCode::Other(0x7e), message: other.to_string() },
     }
 }
 
@@ -485,7 +470,7 @@ fn fetch_decoded(
     if !shared.liveness.should_attempt(group) {
         return Err(unavailable(shared, group, "group is in down-backoff"));
     }
-    match shards.groups[group].get(name) {
+    match shards.groups[group].call(|c| c.get(name)) {
         Ok(sketch) => {
             shared.liveness.record(group, true);
             Ok(sketch)
@@ -516,19 +501,13 @@ fn scatter_list_page(shared: &Shared, shards: &mut ShardClients, after: &str) ->
             partial = true;
             continue;
         }
-        match shards.groups[group].list_page(after) {
+        match shards.groups[group].call(|c| c.list_page(after)) {
             Ok((names, shard_partial)) => {
                 shared.liveness.record(group, true);
                 partial |= shard_partial;
                 union.extend(names);
             }
-            Err(
-                ClientError::AllReplicasDown { .. }
-                | ClientError::Io(_)
-                | ClientError::Busy
-                | ClientError::BreakerOpen { .. }
-                | ClientError::RetryBudgetExhausted,
-            ) => {
+            Err(e) if group_down(&e) => {
                 shared.liveness.record(group, false);
                 partial = true;
             }
@@ -560,6 +539,8 @@ fn delete(shared: &Shared, shards: &mut ShardClients, name: &str) -> Response {
         match client.delete(name) {
             Ok(()) => deleted += 1,
             Err(ClientError::NotFound(_)) => missing += 1,
+            // Narrower than `group_down` on purpose: a direct replica
+            // client marks the group down only on a transport failure.
             Err(ClientError::Io(e)) => {
                 shared.liveness.record(group, false);
                 return unavailable(shared, group, &format!("replica {addr}: {e}"));
@@ -604,7 +585,7 @@ fn scatter_scrub(
         if !shared.liveness.should_attempt(group) {
             return unavailable(shared, group, "group is in down-backoff");
         }
-        match shards.groups[group].scrub(trigger, after) {
+        match shards.groups[group].call(|c| c.scrub(trigger, after)) {
             Ok(page) => {
                 shared.liveness.record(group, true);
                 report.rounds = report.rounds.saturating_add(page.rounds);
@@ -615,13 +596,7 @@ fn scatter_scrub(
                 report.last_scrub_age_ms = report.last_scrub_age_ms.max(page.last_scrub_age_ms);
                 union.extend(page.names);
             }
-            Err(
-                e @ (ClientError::AllReplicasDown { .. }
-                | ClientError::Io(_)
-                | ClientError::Busy
-                | ClientError::BreakerOpen { .. }
-                | ClientError::RetryBudgetExhausted),
-            ) => {
+            Err(e) if group_down(&e) => {
                 shared.liveness.record(group, false);
                 return unavailable(shared, group, &e.to_string());
             }
@@ -658,7 +633,7 @@ fn scatter_health(shared: &Shared, shards: &mut ShardClients) -> Health {
             last_scrub_age_ms = u64::MAX;
             continue;
         }
-        match shards.groups[group].health() {
+        match shards.groups[group].call(Client::health) {
             Ok(h) => {
                 shared.liveness.record(group, true);
                 sketches = sketches.saturating_add(h.sketches);

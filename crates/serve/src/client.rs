@@ -11,8 +11,16 @@
 //!
 //! Failures the *server* reports deliberately — NOT_FOUND, READ_ONLY, a
 //! store error — are not retried: they would fail the same way again.
+//!
+//! There is one wire exchange, [`Client::pipeline`]: every typed call is
+//! a pipeline of one sent through [`Client::request`]. An exchange
+//! writes its frames in one vectored write and reads each reply through
+//! the connection's [`FrameBuffer`], decoding it exactly once; BUSY is
+//! read off the decoded reply. The connection and its buffer are
+//! dropped together on any error. [`FailoverClient::call`] runs any
+//! [`Client`] call over a replica ring.
 
-use std::io::{self, Write};
+use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -24,8 +32,8 @@ use hmh_hash::RandomOracle;
 use hmh_store::RetryPolicy;
 
 use crate::proto::{
-    decode_response, encode_request_budget, read_frame, write_frame, write_frames_vectored,
-    DigestEntry, ErrCode, FrameError, Health, Request, Response, ScrubReport, SyncEntry,
+    decode_response, encode_request_budget, write_frames_vectored, DigestEntry, ErrCode,
+    FrameBuffer, FrameError, Health, ProtoError, Request, Response, ScrubReport, SyncEntry,
     MAX_BATCH_ITEMS, MAX_BUDGET_MS, MAX_FRAME_LEN, MAX_ITEM_LEN, MAX_LIST_NAMES,
     MAX_PIPELINE_DEPTH,
 };
@@ -351,71 +359,50 @@ impl From<FormatError> for ClientError {
     }
 }
 
-/// Marker wrapped in a transient [`io::Error`] so a BUSY shed rides the
-/// retry loop like any other transient failure, yet stays
-/// distinguishable from a real deadline once retries are exhausted.
-#[derive(Debug)]
-struct BusyMarker;
+/// Why an attempt ended without a reply, carried inside an
+/// [`io::Error`] so the retry loop can see it and the caller can map it
+/// back to its [`ClientError`] once the loop returns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Marker {
+    /// The server shed the connection. Transient: it rides the retry
+    /// loop like any other, yet stays distinguishable from a real
+    /// deadline once retries are exhausted.
+    Busy,
+    /// The local deadline budget hit zero. Final: no further attempt can
+    /// beat a deadline that already passed.
+    Expired,
+    /// The shared retry budget denied a retry. Final.
+    BudgetDenied,
+}
 
-impl std::fmt::Display for BusyMarker {
+impl std::fmt::Display for Marker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "server shed the connection (busy)")
+        f.write_str(match self {
+            Marker::Busy => "server shed the connection (busy)",
+            Marker::Expired => "deadline budget expired before the attempt",
+            Marker::BudgetDenied => "shared retry budget exhausted",
+        })
     }
 }
 
-impl std::error::Error for BusyMarker {}
+impl std::error::Error for Marker {}
 
-fn busy_error() -> io::Error {
-    io::Error::new(io::ErrorKind::WouldBlock, BusyMarker)
-}
-
-fn is_busy(e: &io::Error) -> bool {
-    e.get_ref().is_some_and(|inner| inner.is::<BusyMarker>())
-}
-
-/// Marker carried in a *non-transient* [`io::Error`] when the local
-/// deadline budget hits zero: the retry loop returns it immediately
-/// (no further attempts can beat a deadline that already passed), and
-/// [`Client::request`] maps it to [`ClientError::Expired`].
-#[derive(Debug)]
-struct ExpiredMarker;
-
-impl std::fmt::Display for ExpiredMarker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "deadline budget expired before the attempt")
+impl Marker {
+    /// The marker as an [`io::Error`] whose kind carries its retry
+    /// class: `WouldBlock` is transient per [`hmh_store::is_transient`],
+    /// `Other` is not.
+    fn error(self) -> io::Error {
+        let kind = match self {
+            Marker::Busy => io::ErrorKind::WouldBlock,
+            Marker::Expired | Marker::BudgetDenied => io::ErrorKind::Other,
+        };
+        io::Error::new(kind, self)
     }
-}
 
-impl std::error::Error for ExpiredMarker {}
-
-fn expired_error() -> io::Error {
-    // `Other` is deliberately non-transient per `hmh_store::is_transient`.
-    io::Error::other(ExpiredMarker)
-}
-
-fn is_expired(e: &io::Error) -> bool {
-    e.get_ref().is_some_and(|inner| inner.is::<ExpiredMarker>())
-}
-
-/// Marker for a retry-budget denial from the gate, mapped to
-/// [`ClientError::RetryBudgetExhausted`].
-#[derive(Debug)]
-struct BudgetMarker;
-
-impl std::fmt::Display for BudgetMarker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "shared retry budget exhausted")
+    /// The marker inside `e`, if it carries one.
+    fn of(e: &io::Error) -> Option<Marker> {
+        e.get_ref().and_then(|inner| inner.downcast_ref::<Marker>()).copied()
     }
-}
-
-impl std::error::Error for BudgetMarker {}
-
-fn budget_error() -> io::Error {
-    io::Error::other(BudgetMarker)
-}
-
-fn is_budget_denial(e: &io::Error) -> bool {
-    e.get_ref().is_some_and(|inner| inner.is::<BudgetMarker>())
 }
 
 /// Remaining budget to stamp on the wire for `deadline`, or `None` when
@@ -436,8 +423,15 @@ fn remaining_budget_ms(deadline: Instant) -> Option<u32> {
 pub struct Client {
     addr: SocketAddr,
     opts: ClientOptions,
-    conn: Option<TcpStream>,
+    conn: Option<Conn>,
     deadline: Option<Instant>,
+}
+
+/// A live connection and the reply bytes read off it but not yet
+/// consumed, dropped together on any error.
+struct Conn {
+    stream: TcpStream,
+    frames: FrameBuffer,
 }
 
 impl Client {
@@ -689,8 +683,20 @@ impl Client {
         self.addr
     }
 
+    /// Send one request as a pipeline of one and map its reply through
+    /// [`typed_response`]: READ_ONLY, EXPIRED, NOT_FOUND and server
+    /// errors come back as their [`ClientError`] variants. Every typed
+    /// method above is this plus a check of the reply variant; callers
+    /// that already hold a decoded [`Request`] (a router forwarding one
+    /// off its own wire) send it as is.
+    pub fn request(&mut self, request: &Request) -> Result<Response, ClientError> {
+        let reply = self.pipeline(std::slice::from_ref(request))?.pop();
+        typed_response(reply.expect("invariant: a pipeline answers every request"))
+    }
+
     /// Submit up to [`MAX_PIPELINE_DEPTH`] requests as one pipelined
-    /// batch: all frames leave in a single vectored write, and the
+    /// batch — the client's only wire exchange; a single op is a batch
+    /// of one. All frames leave in a single vectored write, and the
     /// replies come back strictly in request order (ordering is the
     /// protocol's correlation mechanism — there are no tags).
     ///
@@ -706,10 +712,13 @@ impl Client {
     /// kernel buffers).
     ///
     /// Transient failures retry the *whole batch* under the configured
-    /// backoff policy, which is safe for the same reason single-op
-    /// retries are: every operation is idempotent. A pinned deadline
-    /// (or [`ClientOptions::op_budget`]) stamps each attempt's
-    /// remaining budget on every frame of the batch.
+    /// backoff policy, which is safe because every operation is
+    /// idempotent (PUT overwrites, MERGE folds a fixed payload, reads
+    /// read). When a deadline is pinned (or [`ClientOptions::op_budget`]
+    /// set), every attempt stamps its *remaining* budget on every frame
+    /// and the call expires locally once it hits zero; when a shared
+    /// [`RetryBudget`] is configured, each retry (never the first
+    /// attempt) must buy a token.
     pub fn pipeline(&mut self, requests: &[Request]) -> Result<Vec<Response>, ClientError> {
         if requests.is_empty() {
             return Ok(Vec::new());
@@ -722,186 +731,78 @@ impl Client {
         }
         let deadline = self.deadline.or_else(|| self.opts.op_budget.map(|b| Instant::now() + b));
         let budget = self.opts.budget.clone();
-        // Without a deadline the bodies are attempt-invariant: encode once.
-        let flat_bodies: Option<Vec<Vec<u8>>> = if deadline.is_none() {
-            Some(requests.iter().map(|r| encode_request_budget(r, 0)).collect())
-        } else {
-            None
-        };
-        let mut retry = self.opts.retry.clone();
-        let result = retry.run_gated(
-            |_attempt| {
-                let bodies = if let Some(bodies) = &flat_bodies {
-                    bodies.clone()
-                } else {
-                    let d = deadline
-                        .expect("invariant: flat_bodies is None only when a deadline is set");
-                    let Some(ms) = remaining_budget_ms(d) else {
-                        return Err(expired_error());
-                    };
-                    requests.iter().map(|r| encode_request_budget(r, ms)).collect()
-                };
-                self.exchange_pipelined(&bodies)
-            },
-            || match &budget {
-                Some(b) if !b.try_spend() => Err(budget_error()),
-                _ => Ok(()),
-            },
-        );
-        match result {
-            Ok(frames) => {
-                // One deposit per wire exchange, not per frame: the
-                // budget prices exchanges, and a batch is one exchange.
-                if let Some(b) = &budget {
-                    b.record_success();
-                }
-                let mut replies = Vec::with_capacity(frames.len());
-                for frame in &frames {
-                    match decode_response(frame) {
-                        Ok(resp) => replies.push(resp),
-                        Err(e) => {
-                            // An unparseable reply poisons the stream;
-                            // reconnect next call rather than guessing
-                            // at framing.
-                            self.conn = None;
-                            return Err(ClientError::BadReply(e.to_string()));
-                        }
-                    }
-                }
-                Ok(replies)
-            }
-            Err(e) if is_busy(&e) => Err(ClientError::Busy),
-            Err(e) if is_expired(&e) => Err(ClientError::Expired),
-            Err(e) if is_budget_denial(&e) => Err(ClientError::RetryBudgetExhausted),
-            Err(e) => Err(ClientError::Io(e)),
-        }
-    }
-
-    /// Send one request, retrying transient transport failures and BUSY
-    /// sheds under the configured backoff policy. When a deadline is
-    /// pinned (or [`ClientOptions::op_budget`] set), every attempt
-    /// stamps its *remaining* budget on the wire and the call expires
-    /// locally once it hits zero; when a shared [`RetryBudget`] is
-    /// configured, each retry (never the first attempt) must buy a
-    /// token.
-    fn request(&mut self, request: &Request) -> Result<Response, ClientError> {
-        let deadline = self.deadline.or_else(|| self.opts.op_budget.map(|b| Instant::now() + b));
-        let budget = self.opts.budget.clone();
-        // Without a deadline the body is attempt-invariant: encode once.
-        let flat_body =
-            if deadline.is_none() { Some(encode_request_budget(request, 0)) } else { None };
+        // Every attempt borrows the same encoded bodies. Without a
+        // deadline they are encoded once; with one they are re-encoded
+        // only when the remaining budget to stamp has changed.
+        let encode = |ms| requests.iter().map(|r| encode_request_budget(r, ms)).collect();
+        let mut stamped = 0;
+        let mut bodies: Vec<Vec<u8>> = if deadline.is_none() { encode(0) } else { Vec::new() };
         // Clone per call: `run_gated` consumes jitter state; cloning
         // keeps each call's schedule starting from the policy's seed,
         // deterministic under test.
         let mut retry = self.opts.retry.clone();
         let result = retry.run_gated(
             |_attempt| {
-                let body = if let Some(body) = &flat_body {
-                    body.clone()
-                } else {
-                    let d =
-                        deadline.expect("invariant: flat_body is None only when a deadline is set");
-                    let Some(ms) = remaining_budget_ms(d) else {
-                        return Err(expired_error());
-                    };
-                    encode_request_budget(request, ms)
-                };
-                self.exchange(&body)
+                if let Some(d) = deadline {
+                    let ms = remaining_budget_ms(d).ok_or_else(|| Marker::Expired.error())?;
+                    if ms != stamped {
+                        bodies = encode(ms);
+                        stamped = ms;
+                    }
+                }
+                // Any failure drops the connection and its buffer, so
+                // the next attempt reconnects from scratch — a
+                // half-drained pipeline is never reused.
+                let result = self.exchange(&bodies).map_err(reclassify_disconnect);
+                if result.is_err() {
+                    self.conn = None;
+                }
+                result
             },
             || match &budget {
-                Some(b) if !b.try_spend() => Err(budget_error()),
+                Some(b) if !b.try_spend() => Err(Marker::BudgetDenied.error()),
                 _ => Ok(()),
             },
         );
         match result {
-            Ok(frame) => {
+            Ok(replies) => {
                 // The transport worked and the server answered: that is
                 // the success a retry budget regenerates from, whatever
-                // the answer says about the sketch.
+                // the answers say. One deposit per wire exchange, not
+                // per frame: the budget prices exchanges.
                 if let Some(b) = &budget {
                     b.record_success();
                 }
-                self.interpret(&frame)
-            }
-            Err(e) if is_busy(&e) => Err(ClientError::Busy),
-            Err(e) if is_expired(&e) => Err(ClientError::Expired),
-            Err(e) if is_budget_denial(&e) => Err(ClientError::RetryBudgetExhausted),
-            Err(e) => Err(ClientError::Io(e)),
-        }
-    }
-
-    /// One wire exchange. Any failure drops the cached connection so the
-    /// next attempt reconnects from scratch — half-exchanged streams are
-    /// never reused. Disconnect shapes the kernel reports under
-    /// non-transient kinds are reclassified here (see
-    /// [`reclassify_disconnect`]) so they ride the retry loop.
-    fn exchange(&mut self, body: &[u8]) -> io::Result<Vec<u8>> {
-        let result = self.try_exchange(body).map_err(reclassify_disconnect);
-        if result.is_err() {
-            self.conn = None;
-        }
-        result
-    }
-
-    fn try_exchange(&mut self, body: &[u8]) -> io::Result<Vec<u8>> {
-        let conn = self.ensure_conn()?;
-        write_frame(conn, body)?;
-        conn.flush()?;
-        match read_frame(conn, MAX_FRAME_LEN) {
-            Ok(Some(frame)) => {
-                // A BUSY shed is followed by a server-side close; map it
-                // to a transient error so the retry loop backs off.
-                if decode_response(&frame) == Ok(Response::Busy) {
+                replies.into_iter().collect::<Result<_, _>>().map_err(|e| {
+                    // An unparseable reply poisons the stream; reconnect
+                    // next call rather than guessing at framing.
                     self.conn = None;
-                    return Err(busy_error());
-                }
-                Ok(frame)
+                    ClientError::BadReply(e.to_string())
+                })
             }
-            // EOF before a reply: the server hung up (shed without a
-            // BUSY frame landing, or mid-restart). Transient.
-            Ok(None) => Err(io::Error::new(
-                io::ErrorKind::ConnectionReset,
-                "server closed the connection before replying",
-            )),
-            Err(FrameError::Io(e)) => Err(e),
-            Err(FrameError::TooLarge { got, max }) => Err(io::Error::other(format!(
-                "server sent an oversized frame ({got} > {max} bytes)"
-            ))),
+            Err(e) => Err(match Marker::of(&e) {
+                Some(Marker::Busy) => ClientError::Busy,
+                Some(Marker::Expired) => ClientError::Expired,
+                Some(Marker::BudgetDenied) => ClientError::RetryBudgetExhausted,
+                None => ClientError::Io(e),
+            }),
         }
     }
 
-    /// One pipelined wire exchange: all request frames in one vectored
-    /// write, then every reply read back in order. Like [`exchange`],
-    /// any failure drops the cached connection — a half-drained pipeline
-    /// is never reused.
-    ///
-    /// [`exchange`]: Client::exchange
-    fn exchange_pipelined(&mut self, bodies: &[Vec<u8>]) -> io::Result<Vec<Vec<u8>>> {
-        let result = self.try_exchange_pipelined(bodies).map_err(reclassify_disconnect);
-        if result.is_err() {
-            self.conn = None;
-        }
-        result
-    }
-
-    fn try_exchange_pipelined(&mut self, bodies: &[Vec<u8>]) -> io::Result<Vec<Vec<u8>>> {
-        let conn = self.ensure_conn()?;
-        write_frames_vectored(conn, bodies)?;
-        let mut frames = Vec::with_capacity(bodies.len());
+    /// One wire exchange: every request frame in one vectored write,
+    /// then every reply read back in order through the connection's
+    /// [`FrameBuffer`] and decoded once. Disconnect shapes the kernel
+    /// reports under non-transient kinds are reclassified by the caller
+    /// (see [`reclassify_disconnect`]) so they ride the retry loop.
+    fn exchange(&mut self, bodies: &[Vec<u8>]) -> io::Result<Vec<Result<Response, ProtoError>>> {
+        let Conn { stream, frames } = self.ensure_conn()?;
+        write_frames_vectored(stream, bodies)?;
+        let mut replies = Vec::with_capacity(bodies.len());
         for drained in 0..bodies.len() {
-            match read_frame(conn, MAX_FRAME_LEN) {
-                Ok(Some(frame)) => {
-                    // A BUSY shed precedes any frame processing, so it
-                    // can only be the first reply — but check every slot
-                    // so a misbehaving server still maps to a transient
-                    // error instead of a confusing per-op result.
-                    if decode_response(&frame) == Ok(Response::Busy) {
-                        self.conn = None;
-                        return Err(busy_error());
-                    }
-                    frames.push(frame);
-                }
-                // EOF with replies outstanding: the server hung up (or
+            let frame = match frames.read_frame_ref(stream, MAX_FRAME_LEN) {
+                Ok(Some(frame)) => frame,
+                // EOF with replies outstanding: the server hung up (shed
+                // without a BUSY frame landing, mid-restart, or it
                 // poisoned the tail for a frame we believed well-formed).
                 // Transient — the whole batch is retried, which is safe
                 // because every operation is idempotent.
@@ -909,8 +810,8 @@ impl Client {
                     return Err(io::Error::new(
                         io::ErrorKind::ConnectionReset,
                         format!(
-                            "server closed the connection mid-pipeline \
-                             ({drained} of {} replies drained)",
+                            "server closed the connection with {} of {} replies outstanding",
+                            bodies.len() - drained,
                             bodies.len()
                         ),
                     ))
@@ -921,44 +822,40 @@ impl Client {
                         "server sent an oversized frame ({got} > {max} bytes)"
                     )))
                 }
+            };
+            match decode_response(frame) {
+                // A BUSY shed precedes any frame processing and is
+                // followed by a server-side close, so it can only be the
+                // first reply — but every slot is checked so a
+                // misbehaving server still maps to a transient error the
+                // retry loop backs off from, not a confusing per-op result.
+                Ok(Response::Busy) => return Err(Marker::Busy.error()),
+                reply => replies.push(reply),
             }
         }
-        Ok(frames)
+        Ok(replies)
     }
 
     /// Cached connection, dialing a fresh one if needed.
-    fn ensure_conn(&mut self) -> io::Result<&mut TcpStream> {
+    fn ensure_conn(&mut self) -> io::Result<&mut Conn> {
         if self.conn.is_none() {
             let stream = TcpStream::connect_timeout(&self.addr, self.opts.connect_timeout)?;
             stream.set_read_timeout(Some(self.opts.read_timeout))?;
             stream.set_write_timeout(Some(self.opts.write_timeout))?;
             let _ = stream.set_nodelay(true);
-            self.conn = Some(stream);
+            self.conn = Some(Conn { stream, frames: FrameBuffer::new() });
         }
         Ok(self.conn.as_mut().expect("invariant: connection established above"))
-    }
-
-    /// Map a decoded reply onto the typed result surface.
-    fn interpret(&mut self, frame: &[u8]) -> Result<Response, ClientError> {
-        match decode_response(frame) {
-            Ok(resp) => typed_response(resp),
-            Err(e) => {
-                // An unparseable reply poisons the stream; reconnect next
-                // call rather than guessing at framing.
-                self.conn = None;
-                Err(ClientError::BadReply(e.to_string()))
-            }
-        }
     }
 }
 
 /// Map one decoded reply onto the typed result surface the single-shot
 /// [`Client`] methods use: READ_ONLY, EXPIRED, NOT_FOUND and server
 /// errors become their [`ClientError`] variants, everything else passes
-/// through. [`Client::pipeline`] deliberately does *not* apply this per
-/// slot — one op's typed refusal must not hide its neighbors' results —
-/// so callers that want single-shot semantics per slot apply it
-/// themselves.
+/// through. [`Client::request`] applies it to its one reply;
+/// [`Client::pipeline`] deliberately does *not* apply it per slot — one
+/// op's typed refusal must not hide its neighbors' results — so callers
+/// that want single-shot semantics per slot apply it themselves.
 pub fn typed_response(resp: Response) -> Result<Response, ClientError> {
     match resp {
         Response::ReadOnly => Err(ClientError::ReadOnly),
@@ -1108,35 +1005,6 @@ impl FailoverClient {
         self.replicas[self.current].addr()
     }
 
-    /// Store `sketch` under `name` on whichever replica answers.
-    pub fn put(&mut self, name: &str, sketch: &HyperMinHash) -> Result<(), ClientError> {
-        self.with_failover(|c| c.put(name, sketch))
-    }
-
-    /// Fold `sketch` into `name` on whichever replica answers.
-    pub fn merge(&mut self, name: &str, sketch: &HyperMinHash) -> Result<(), ClientError> {
-        self.with_failover(|c| c.merge(name, sketch))
-    }
-
-    /// Ingest raw items into `name` on whichever replica answers. One
-    /// logical call may span several frames; a failover mid-stream can
-    /// replay frames against the new replica, which is safe because
-    /// item insertion is idempotent.
-    pub fn batch_put(
-        &mut self,
-        name: &str,
-        params: HmhParams,
-        oracle: RandomOracle,
-        items: &[&[u8]],
-    ) -> Result<(), ClientError> {
-        self.with_failover(|c| c.batch_put(name, params, oracle, items))
-    }
-
-    /// Fetch the sketch under `name` from whichever replica answers.
-    pub fn get(&mut self, name: &str) -> Result<HyperMinHash, ClientError> {
-        self.with_failover(|c| c.get(name))
-    }
-
     /// Submit a pipelined batch to whichever replica answers (see
     /// [`Client::pipeline`]). A replica that drops the connection with
     /// the pipeline half-drained fails the *whole batch* over to the
@@ -1145,7 +1013,7 @@ impl FailoverClient {
     /// other failover, so a flapping replica cannot turn batch depth
     /// into dial amplification.
     pub fn pipeline(&mut self, requests: &[Request]) -> Result<Vec<Response>, ClientError> {
-        self.with_failover(|c| {
+        self.call(|c| {
             let replies = c.pipeline(requests)?;
             // A READ_ONLY slot means this replica is in degraded mode —
             // exactly what single-op failover rotates on. Fail the whole
@@ -1158,44 +1026,6 @@ impl FailoverClient {
         })
     }
 
-    /// Cardinality estimate from whichever replica answers.
-    pub fn card(&mut self, name: &str) -> Result<f64, ClientError> {
-        self.with_failover(|c| c.card(name))
-    }
-
-    /// Jaccard estimate from whichever replica answers.
-    pub fn jaccard(&mut self, a: &str, b: &str) -> Result<f64, ClientError> {
-        self.with_failover(|c| c.jaccard(a, b))
-    }
-
-    /// Every stored name from whichever replica answers, walked to the
-    /// last page (see [`Client::list`]).
-    pub fn list(&mut self) -> Result<Vec<String>, ClientError> {
-        self.with_failover(|c| c.list())
-    }
-
-    /// One page of stored names from whichever replica answers. Note the
-    /// caveat failover always carries for listing: replicas converge
-    /// through anti-entropy, so pages from different replicas may
-    /// briefly disagree about very recent writes.
-    pub fn list_page(&mut self, after: &str) -> Result<(Vec<String>, bool), ClientError> {
-        self.with_failover(|c| c.list_page(after))
-    }
-
-    /// Health snapshot from whichever replica answers.
-    pub fn health(&mut self) -> Result<Health, ClientError> {
-        self.with_failover(|c| c.health())
-    }
-
-    /// Scrub status (or a triggered pass) from whichever replica
-    /// answers (see [`Client::scrub`]). Note that scrub state is
-    /// per-replica: a quarantine page from replica A says nothing about
-    /// replica B, so callers that care *which* store was scrubbed
-    /// should use a direct [`Client`] instead.
-    pub fn scrub(&mut self, trigger: bool, after: &str) -> Result<ScrubReport, ClientError> {
-        self.with_failover(|c| c.scrub(trigger, after))
-    }
-
     /// Ask the *current* replica to drain and exit. Deliberately no
     /// failover: "shut down" rotated across the ring would take the
     /// whole cluster down one timeout at a time.
@@ -1203,12 +1033,13 @@ impl FailoverClient {
         self.replicas[self.current].shutdown()
     }
 
-    /// Run `op` against the current replica, rotating on failures a
-    /// different replica could survive, until it succeeds, fails
-    /// finally, or the attempt budget runs out — which surfaces as the
-    /// typed [`ClientError::AllReplicasDown`] carrying every attempt's
-    /// error, so callers distinguish "the whole group is unreachable"
-    /// from a single transport failure without string-matching.
+    /// Run `op` — any [`Client`] call, as in `fc.call(|c| c.card(name))`
+    /// — against the current replica, rotating on failures a different
+    /// replica could survive, until it succeeds, fails finally, or the
+    /// attempt budget runs out — which surfaces as the typed
+    /// [`ClientError::AllReplicasDown`] carrying every attempt's error,
+    /// so callers distinguish "the whole group is unreachable" from a
+    /// single transport failure without string-matching.
     ///
     /// Two bounds layer on top of the per-op attempt budget. Each
     /// replica's circuit breaker must admit the attempt — with every
@@ -1217,7 +1048,7 @@ impl FailoverClient {
     /// attempt must buy a token from the shared [`RetryBudget`] (when
     /// configured), so concurrent callers cannot multiply a sick
     /// replica's cost.
-    fn with_failover<T>(
+    pub fn call<T>(
         &mut self,
         mut op: impl FnMut(&mut Client) -> Result<T, ClientError>,
     ) -> Result<T, ClientError> {
@@ -1277,10 +1108,15 @@ mod tests {
 
     #[test]
     fn busy_marker_survives_the_io_error_wrap() {
-        let e = busy_error();
-        assert!(is_busy(&e));
+        let e = Marker::Busy.error();
+        assert_eq!(Marker::of(&e), Some(Marker::Busy));
         assert!(hmh_store::is_transient(&e), "busy must ride the retry loop");
-        assert!(!is_busy(&io::Error::new(io::ErrorKind::WouldBlock, "plain")));
+        assert_eq!(Marker::of(&io::Error::new(io::ErrorKind::WouldBlock, "plain")), None);
+        for final_marker in [Marker::Expired, Marker::BudgetDenied] {
+            let e = final_marker.error();
+            assert_eq!(Marker::of(&e), Some(final_marker));
+            assert!(!hmh_store::is_transient(&e), "{final_marker} must end the retry loop");
+        }
     }
 
     #[test]
@@ -1404,6 +1240,79 @@ mod tests {
             b.admits(64 + BREAKER_CAP_OPS + 1),
             "skip never exceeds BREAKER_CAP_OPS, so probes keep happening"
         );
+    }
+
+    /// A one-connection server that reads `requests` frames, then sends
+    /// `replies` framed, `chunk` bytes per write, and hangs up.
+    fn scripted_server(
+        requests: usize,
+        replies: &[Response],
+        chunk: usize,
+    ) -> (SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr");
+        let mut wire = Vec::new();
+        for reply in replies {
+            crate::proto::write_frame(&mut wire, &crate::proto::encode_response(reply))
+                .expect("frame into a Vec");
+        }
+        let server = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().expect("accept");
+            conn.set_nodelay(true).expect("nodelay");
+            for _ in 0..requests {
+                crate::proto::read_frame(&mut conn, MAX_FRAME_LEN)
+                    .expect("request")
+                    .expect("frame");
+            }
+            for piece in wire.chunks(chunk) {
+                io::Write::write_all(&mut conn, piece).expect("reply bytes");
+            }
+        });
+        (addr, server)
+    }
+
+    fn scripted_client(addr: SocketAddr) -> Client {
+        Client::with_options(
+            addr,
+            ClientOptions { retry: RetryPolicy::none(), ..Default::default() },
+        )
+    }
+
+    #[test]
+    fn pipelined_replies_decode_whole_however_the_bytes_arrive() {
+        let requests: Vec<Request> =
+            (0..8).map(|i| Request::Card { name: format!("k{i}") }).collect();
+        let replies: Vec<Response> = (0..8)
+            .map(|i| match i {
+                3 => Response::Sketch(vec![0xAB; 1500]),
+                5 => Response::Err {
+                    code: ErrCode::NotFound,
+                    message: "no sketch named \"k5\"".into(),
+                },
+                _ => Response::Value(f64::from(i)),
+            })
+            .collect();
+        // All replies in one write, then one byte per write.
+        for chunk in [usize::MAX, 1] {
+            let (addr, server) = scripted_server(requests.len(), &replies, chunk);
+            let got = scripted_client(addr).pipeline(&requests).expect("pipeline");
+            assert_eq!(got, replies, "chunk {chunk}");
+            server.join().expect("server");
+        }
+    }
+
+    #[test]
+    fn a_busy_first_reply_fails_the_pipeline_as_busy() {
+        let requests: Vec<Request> =
+            (0..8).map(|i| Request::Card { name: format!("k{i}") }).collect();
+        for chunk in [usize::MAX, 1] {
+            let (addr, server) = scripted_server(requests.len(), &[Response::Busy], chunk);
+            match scripted_client(addr).pipeline(&requests) {
+                Err(ClientError::Busy) => {}
+                other => panic!("chunk {chunk}: expected Busy, got {other:?}"),
+            }
+            server.join().expect("server");
+        }
     }
 
     #[test]

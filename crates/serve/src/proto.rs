@@ -14,9 +14,16 @@
 //! and every declared length is validated against both a protocol
 //! maximum and the bytes actually present *before* it is believed — an
 //! untrusted length field can bound a loop, but it can never drive an
-//! allocation or a read on its own. Frame bodies are likewise read in
-//! bounded chunks, so memory grows only with bytes a peer actually
-//! sends, never with what its header merely claims.
+//! allocation or a read on its own. Frame reads likewise grow their
+//! buffers only with bytes a peer actually sends, never with what a
+//! length prefix merely claims.
+//!
+//! Every production connection — the daemon's and the router's front
+//! end, and each [`crate::Client`] connection — reads through one
+//! [`FrameBuffer`]: bytes initialized once, a filled cursor, and one
+//! fill routine shared by the blocking and the non-blocking path. The
+//! one-shot [`read_frame`] serves callers that hold no buffer (tests,
+//! benchmarks) and reads a body straight into its `Vec`.
 //!
 //! Connections are *pipelined*: a client may have up to
 //! [`MAX_PIPELINE_DEPTH`] request frames in flight on one connection,
@@ -36,6 +43,7 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::ops::Range;
 
 use hmh_core::format::MAX_ENCODED_LEN;
 use hmh_store::log::MAX_NAME_LEN;
@@ -65,8 +73,9 @@ pub const MAX_BUDGET_MS: u32 = 24 * 60 * 60 * 1000;
 /// connection.
 pub const MAX_FRAME_LEN: usize = MAX_ENCODED_LEN + 2 * MAX_NAME_LEN + 64;
 
-/// Chunk size for reading frame bodies: allocation tracks received
-/// bytes, not declared lengths.
+/// Up-front allocation for one frame read, and the size a
+/// [`FrameBuffer`] starts at: allocation tracks received bytes, not
+/// declared lengths.
 const READ_CHUNK: usize = 64 * 1024;
 
 /// Maximum request frames a client may have in flight on one connection
@@ -76,12 +85,6 @@ const READ_CHUNK: usize = 64 * 1024;
 /// (both sides blocked on full kernel buffers), so the client API
 /// refuses deeper batches with a typed error instead of hanging.
 pub const MAX_PIPELINE_DEPTH: usize = 32;
-
-/// Cap on bytes [`FrameBuffer::fill_nonblocking`] will buffer ahead of
-/// processing. Batching is opportunistic: frames beyond the cap simply
-/// wait in the kernel for the next batch, so the cap bounds per-
-/// connection memory without affecting correctness.
-const PIPELINE_FILL_CAP: usize = 4 * READ_CHUNK;
 
 /// Maximum items in one `BATCH_PUT` frame. Together with
 /// [`MAX_ITEM_LEN`] this keeps a maximal batch (≈ 16 MiB) well under
@@ -714,6 +717,9 @@ fn write_all_vectored(w: &mut impl Write, segments: &[&[u8]]) -> io::Result<()> 
 /// [`FrameError::TooLarge`] when the length prefix exceeds `max` (the
 /// body bytes are *not* read); I/O errors (including timeouts and
 /// mid-body EOF) as [`FrameError::Io`].
+///
+/// The one-shot reader for callers that own no [`FrameBuffer`]: the
+/// body is read straight into the returned `Vec`, with no scratch copy.
 pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Option<Vec<u8>>, FrameError> {
     let mut len_buf = [0u8; 4];
     if !read_exact_or_eof(r, &mut len_buf).map_err(FrameError::Io)? {
@@ -723,31 +729,17 @@ pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Option<Vec<u8>>, Fram
     if len > max {
         return Err(FrameError::TooLarge { got: len, max });
     }
-    // Grow with received bytes, not the declared length: a peer that
-    // *claims* a huge body but sends nothing costs nothing but a read
-    // timeout.
+    // Capacity starts at one chunk and grows with received bytes, not
+    // the declared length: a peer that *claims* a huge body but sends
+    // nothing costs nothing but a read timeout. `read_to_end` retries
+    // EINTR itself, so a signal mid-body never tears the connection.
     let mut body = Vec::with_capacity(len.min(READ_CHUNK));
-    let mut chunk = [0u8; READ_CHUNK];
-    let mut remaining = len;
-    while remaining > 0 {
-        let want = remaining.min(READ_CHUNK);
-        // EINTR is a retry, not a failure — the same discipline
-        // `read_exact_or_eof` applies to the prefix. Without it a
-        // signal delivered mid-body (timer, SIGCHLD) tears down a
-        // healthy connection and the half-read body with it.
-        let n = match r.read(&mut chunk[..want]) {
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(FrameError::Io(e)),
-        };
-        if n == 0 {
-            return Err(FrameError::Io(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!("frame truncated: {remaining} of {len} body bytes missing"),
-            )));
-        }
-        body.extend_from_slice(&chunk[..n]);
-        remaining -= n;
+    r.take(len as u64).read_to_end(&mut body).map_err(FrameError::Io)?;
+    if body.len() < len {
+        return Err(FrameError::Io(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame truncated: {} of {len} body bytes missing", len - body.len()),
+        )));
     }
     Ok(Some(body))
 }
@@ -806,118 +798,129 @@ pub fn write_frames_vectored(w: &mut impl Write, bodies: &[Vec<u8>]) -> io::Resu
     w.flush()
 }
 
-/// A per-connection frame reassembly buffer: the read side of
-/// pipelining.
+/// A per-connection frame reassembly buffer: every production reader —
+/// the connection front end and each [`crate::Client`] connection —
+/// reads frames through one of these.
 ///
-/// Holds bytes received but not yet consumed, so one `read` syscall
-/// that happens to deliver several small frames (a client's vectored
+/// It keeps a consumed cursor and a filled cursor over bytes that were
+/// initialized once: reads land in the spare tail past the filled
+/// cursor and never clear it again. Consumed bytes are compacted away
+/// before the next read, and the buffer doubles only when the frame at
+/// the cursor fills all of it, so memory grows with bytes a peer
+/// actually sent, never with what a length prefix merely claims.
+///
+/// One `read` that happens to deliver several small frames (a vectored
 /// burst typically arrives this way on localhost) yields them all
-/// without further syscalls. [`read_frame_buffered`] is the blocking
-/// path (semantically identical to [`read_frame`], buffer-aware);
+/// without further syscalls. [`read_frame_ref`] is the blocking path
+/// (semantically identical to [`read_frame`], buffer-aware);
 /// [`fill_nonblocking`] opportunistically pulls whatever has already
 /// arrived so a server can drain a batch without ever blocking on a
-/// frame that was never sent.
+/// frame that was never sent. Both go through one fill routine.
 ///
-/// [`read_frame_buffered`]: FrameBuffer::read_frame_buffered
+/// [`read_frame_ref`]: FrameBuffer::read_frame_ref
 /// [`fill_nonblocking`]: FrameBuffer::fill_nonblocking
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
-    pos: usize,
+    /// First unconsumed byte.
+    start: usize,
+    /// End of the received bytes; reads land in `buf[filled..]`.
+    filled: usize,
 }
 
 impl FrameBuffer {
-    /// An empty buffer.
+    /// An empty buffer; the first blocking read allocates it.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Bytes received but not yet consumed as frames.
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
+        self.filled - self.start
     }
 
-    /// Drop consumed bytes so the buffer tracks outstanding data only.
-    fn compact(&mut self) {
-        if self.pos > 0 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
+    /// Bytes the frame at the cursor occupies, prefix included — just
+    /// the prefix until all of it has arrived. A lying length prefix
+    /// surfaces as [`FrameError::TooLarge`] exactly as [`read_frame`]
+    /// would, before any body byte is believed.
+    fn frame_len(&self, max: usize) -> Result<usize, FrameError> {
+        let [a, b, c, d, ..] = self.buf[self.start..self.filled] else {
+            return Ok(4);
+        };
+        let len = u32::from_le_bytes([a, b, c, d]) as usize;
+        if len > max {
+            return Err(FrameError::TooLarge { got: len, max });
         }
+        Ok(4 + len)
+    }
+
+    /// Consume the complete `frame_len`-byte frame at the cursor,
+    /// returning the range of its body in `buf`.
+    fn consume(&mut self, frame_len: usize) -> Range<usize> {
+        let body = self.start + 4..self.start + frame_len;
+        self.start = body.end;
+        body
     }
 
     /// Pop one frame if a complete one is buffered; `Ok(None)` when the
     /// buffer holds no complete frame (empty or a partial tail), without
-    /// touching the transport. A buffered lying length prefix surfaces
-    /// as [`FrameError::TooLarge`] exactly as [`read_frame`] would.
+    /// touching the transport.
     pub fn take_frame(&mut self, max: usize) -> Result<Option<Vec<u8>>, FrameError> {
-        let avail = &self.buf[self.pos..];
-        if avail.len() < 4 {
+        let frame_len = self.frame_len(max)?;
+        if self.buffered() < frame_len {
             return Ok(None);
         }
-        let len = u32::from_le_bytes([avail[0], avail[1], avail[2], avail[3]]) as usize;
-        if len > max {
-            return Err(FrameError::TooLarge { got: len, max });
-        }
-        if avail.len() < 4 + len {
-            return Ok(None);
-        }
-        let body = avail[4..4 + len].to_vec();
-        self.pos += 4 + len;
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        }
-        Ok(Some(body))
+        let body = self.consume(frame_len);
+        Ok(Some(self.buf[body].to_vec()))
     }
 
     /// Read one frame through the buffer, blocking until a complete
-    /// frame, clean EOF, or transport error. Same contract as
-    /// [`read_frame`]: `Ok(None)` on EOF at a frame boundary (nothing
-    /// buffered), `TooLarge` before any body bytes are believed, I/O
-    /// errors (timeouts, EOF inside a frame) as [`FrameError::Io`].
+    /// frame, clean EOF, or transport error, and borrow its body until
+    /// the next call. Same contract as [`read_frame`]: `Ok(None)` on EOF
+    /// at a frame boundary (nothing buffered), `TooLarge` before any
+    /// body bytes are believed, I/O errors (timeouts, EOF inside a
+    /// frame) as [`FrameError::Io`]. A timeout keeps the bytes of a
+    /// partial frame; the next call resumes it.
+    pub fn read_frame_ref(
+        &mut self,
+        r: &mut impl Read,
+        max: usize,
+    ) -> Result<Option<&[u8]>, FrameError> {
+        let mut frame_len = self.frame_len(max)?;
+        // Each pass reads at least one byte or returns; the caller's
+        // socket timeout bounds a stalled read.
+        while self.buffered() < frame_len {
+            if self.fill_tail(r, true).map_err(FrameError::Io)? == 0 {
+                return match self.buffered() {
+                    0 => Ok(None),
+                    partial => Err(FrameError::Io(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        format!("frame truncated: EOF with {partial} bytes buffered"),
+                    ))),
+                };
+            }
+            frame_len = self.frame_len(max)?;
+        }
+        let body = self.consume(frame_len);
+        Ok(Some(&self.buf[body]))
+    }
+
+    /// [`FrameBuffer::read_frame_ref`] with an owned body.
     pub fn read_frame_buffered(
         &mut self,
         r: &mut impl Read,
         max: usize,
     ) -> Result<Option<Vec<u8>>, FrameError> {
-        // Bounded by the transport: each pass either yields a buffered
-        // frame or performs one read, which a caller's socket timeout
-        // or EOF terminates.
-        loop {
-            if let Some(body) = self.take_frame(max)? {
-                return Ok(Some(body));
-            }
-            self.compact();
-            let old = self.buf.len();
-            self.buf.resize(old + READ_CHUNK, 0);
-            match r.read(&mut self.buf[old..]) {
-                Ok(0) => {
-                    self.buf.truncate(old);
-                    return if self.buffered() == 0 {
-                        Ok(None)
-                    } else {
-                        Err(FrameError::Io(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            format!("frame truncated: EOF with {old} bytes buffered"),
-                        )))
-                    };
-                }
-                Ok(n) => self.buf.truncate(old + n),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => self.buf.truncate(old),
-                Err(e) => {
-                    self.buf.truncate(old);
-                    return Err(FrameError::Io(e));
-                }
-            }
-        }
+        Ok(self.read_frame_ref(r, max)?.map(<[u8]>::to_vec))
     }
 
     /// Pull whatever bytes have *already arrived* on `stream` into the
-    /// buffer without blocking, up to an internal cap
-    /// (`PIPELINE_FILL_CAP`) that bounds per-connection memory. The
-    /// socket is flipped to non-blocking for the duration and restored
-    /// before returning. EOF observed here is not an error — buffered
-    /// frames are still served, and the next blocking read reports it.
+    /// buffer without blocking, up to its spare room: a full buffer
+    /// stops the fill and the rest waits in the kernel for the next
+    /// batch, so per-connection memory stays bounded. The socket is
+    /// flipped to non-blocking for the duration and restored before
+    /// returning. EOF observed here is not an error — buffered frames
+    /// are still served, and the next blocking read reports it.
     pub fn fill_nonblocking(&mut self, stream: &std::net::TcpStream) -> io::Result<()> {
         stream.set_nonblocking(true)?;
         let filled = self.fill_until_would_block(stream);
@@ -925,30 +928,49 @@ impl FrameBuffer {
         filled.and(restored)
     }
 
-    fn fill_until_would_block(&mut self, stream: &std::net::TcpStream) -> io::Result<()> {
-        let mut r: &std::net::TcpStream = stream;
-        while self.buffered() < PIPELINE_FILL_CAP {
-            self.compact();
-            let old = self.buf.len();
-            self.buf.resize(old + READ_CHUNK, 0);
-            match r.read(&mut self.buf[old..]) {
-                Ok(0) => {
-                    self.buf.truncate(old);
-                    return Ok(());
-                }
-                Ok(n) => self.buf.truncate(old + n),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.buf.truncate(old);
-                    return Ok(());
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => self.buf.truncate(old),
-                Err(e) => {
-                    self.buf.truncate(old);
-                    return Err(e);
-                }
+    fn fill_until_would_block(&mut self, mut stream: &std::net::TcpStream) -> io::Result<()> {
+        // Every read shrinks the spare room; none left ends the loop.
+        while self.start > 0 || self.filled < self.buf.len() {
+            match self.fill_tail(&mut stream, false) {
+                Ok(0) => return Ok(()),
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) => return Err(e),
             }
         }
         Ok(())
+    }
+
+    /// The one routine every read goes through: one `read` into the
+    /// spare tail, retried on EINTR. Consumed bytes are compacted away
+    /// first. When unconsumed bytes still fill the whole buffer, `grow`
+    /// doubles it (the blocking path, whose frame at the cursor is
+    /// incomplete); without `grow` nothing is read. Growing zeroes the
+    /// new bytes once; reads reuse initialized bytes and never clear
+    /// them. Returns the bytes read: 0 at EOF, or at a full buffer
+    /// without `grow`.
+    fn fill_tail(&mut self, r: &mut impl Read, grow: bool) -> io::Result<usize> {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.filled, 0);
+            self.filled -= self.start;
+            self.start = 0;
+        }
+        if self.filled == self.buf.len() {
+            if !grow {
+                return Ok(0);
+            }
+            self.buf.resize((2 * self.buf.len()).max(READ_CHUNK), 0);
+        }
+        loop {
+            match r.read(&mut self.buf[self.filled..]) {
+                Ok(n) => {
+                    self.filled += n;
+                    return Ok(n);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
     }
 }
 
@@ -1716,6 +1738,207 @@ mod tests {
             other => panic!("expected TooLarge, got {other:?}"),
         }
         assert_eq!(r, b"leftover", "body bytes must not be consumed");
+    }
+
+    /// One scripted `read` outcome.
+    enum Step {
+        Data(Vec<u8>),
+        Interrupted,
+        TimedOut,
+    }
+
+    /// A `Read` that replays a script, then reports EOF. A `Data` step
+    /// larger than the caller's buffer is delivered across several reads.
+    struct Script(std::collections::VecDeque<Step>);
+
+    impl Script {
+        fn new(steps: Vec<Step>) -> Self {
+            Script(steps.into())
+        }
+
+        /// Bytes still waiting to be read.
+        fn pending(&self) -> usize {
+            self.0.iter().map(|s| if let Step::Data(d) = s { d.len() } else { 0 }).sum()
+        }
+    }
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(Step::Interrupted) => Err(io::ErrorKind::Interrupted.into()),
+                Some(Step::TimedOut) => Err(io::ErrorKind::TimedOut.into()),
+                Some(Step::Data(mut data)) => {
+                    let n = data.len().min(buf.len());
+                    buf[..n].copy_from_slice(&data[..n]);
+                    if n < data.len() {
+                        self.0.push_front(Step::Data(data.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    /// Three framed bodies of distinct sizes, concatenated on one wire.
+    fn three_frames() -> (Vec<Vec<u8>>, Vec<u8>) {
+        let bodies = vec![vec![1u8; 3], Vec::new(), vec![7u8; 300]];
+        let mut wire = Vec::new();
+        for body in &bodies {
+            write_frame(&mut wire, body).unwrap();
+        }
+        (bodies, wire)
+    }
+
+    /// Drain `script` through one buffer, riding out timeouts the way a
+    /// caller with a read deadline would. At every timeout each byte
+    /// read so far is either in a returned frame or still buffered.
+    fn drain(frames: &mut FrameBuffer, script: &mut Script) -> Result<Vec<Vec<u8>>, FrameError> {
+        let total = script.pending();
+        let mut out: Vec<Vec<u8>> = Vec::new();
+        loop {
+            match frames.read_frame_buffered(script, MAX_FRAME_LEN) {
+                Ok(Some(body)) => out.push(body),
+                Ok(None) => return Ok(out),
+                Err(FrameError::Io(e)) if e.kind() == io::ErrorKind::TimedOut => {
+                    let framed: usize = out.iter().map(|b| 4 + b.len()).sum();
+                    let read = total - script.pending();
+                    assert_eq!(framed + frames.buffered(), read, "a timeout lost bytes");
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    #[test]
+    fn frame_buffer_yields_whole_frames_in_order_at_every_split() {
+        let (bodies, wire) = three_frames();
+        // An empty read is EOF, so both halves stay non-empty.
+        for split in 1..wire.len() {
+            let mut script = Script::new(vec![
+                Step::Data(wire[..split].to_vec()),
+                Step::Interrupted,
+                Step::TimedOut,
+                Step::Data(wire[split..].to_vec()),
+                Step::TimedOut,
+            ]);
+            let mut frames = FrameBuffer::new();
+            let got = drain(&mut frames, &mut script).unwrap();
+            assert_eq!(got, bodies, "split at {split}");
+        }
+        // One byte per read, an interruption and a timeout between each.
+        let mut steps = Vec::new();
+        for &b in &wire {
+            steps.extend([Step::Data(vec![b]), Step::Interrupted, Step::TimedOut]);
+        }
+        let mut frames = FrameBuffer::new();
+        assert_eq!(drain(&mut frames, &mut Script::new(steps)).unwrap(), bodies);
+    }
+
+    #[test]
+    fn frame_buffer_keeps_a_partial_frame_across_a_timeout() {
+        let (bodies, wire) = three_frames();
+        // Cut inside the third frame's body.
+        let cut = wire.len() - 100;
+        let mut script = Script::new(vec![
+            Step::Data(wire[..cut].to_vec()),
+            Step::TimedOut,
+            Step::Data(wire[cut..].to_vec()),
+        ]);
+        let mut frames = FrameBuffer::new();
+        for body in &bodies[..2] {
+            assert_eq!(
+                frames.read_frame_buffered(&mut script, MAX_FRAME_LEN).unwrap().as_ref(),
+                Some(body)
+            );
+        }
+        let partial = frames.buffered();
+        assert!(partial > 0, "the third frame's head is buffered");
+        match frames.read_frame_buffered(&mut script, MAX_FRAME_LEN) {
+            Err(FrameError::Io(e)) if e.kind() == io::ErrorKind::TimedOut => {}
+            other => panic!("expected the scripted timeout, got {other:?}"),
+        }
+        assert_eq!(frames.buffered(), partial, "the timeout kept the partial frame");
+        let third = frames.read_frame_buffered(&mut script, MAX_FRAME_LEN).unwrap();
+        assert_eq!(third.as_ref(), Some(&bodies[2]));
+    }
+
+    #[test]
+    fn frame_buffer_eof_is_clean_only_at_a_frame_boundary() {
+        let (bodies, wire) = three_frames();
+        let mut boundaries = vec![0];
+        for body in &bodies {
+            boundaries.push(boundaries.last().unwrap() + 4 + body.len());
+        }
+        for cut in 0..=wire.len() {
+            let mut script = Script::new(vec![Step::Data(wire[..cut].to_vec())]);
+            let whole = boundaries.iter().filter(|&&b| b > 0 && b <= cut).count();
+            let mut frames = FrameBuffer::new();
+            let mut got = Vec::new();
+            let end = loop {
+                match frames.read_frame_buffered(&mut script, MAX_FRAME_LEN) {
+                    Ok(Some(body)) => got.push(body),
+                    other => break other,
+                }
+            };
+            assert_eq!(got, bodies[..whole], "cut at {cut}");
+            if boundaries.contains(&cut) {
+                assert!(matches!(end, Ok(None)), "cut at boundary {cut}: {end:?}");
+            } else {
+                assert!(
+                    matches!(end, Err(FrameError::Io(ref e)) if e.kind() == io::ErrorKind::UnexpectedEof),
+                    "cut at {cut}: {end:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn frame_buffer_refuses_a_lying_prefix_before_reading_the_body() {
+        let body = b"never believed".to_vec();
+        let mut script = Script::new(vec![
+            Step::Data(u32::MAX.to_le_bytes().to_vec()),
+            Step::Data(body.clone()),
+        ]);
+        let mut frames = FrameBuffer::new();
+        match frames.read_frame_buffered(&mut script, MAX_FRAME_LEN) {
+            Err(FrameError::TooLarge { got, max }) => {
+                assert_eq!(got, u32::MAX as usize);
+                assert_eq!(max, MAX_FRAME_LEN);
+            }
+            other => panic!("expected TooLarge, got {other:?}"),
+        }
+        assert_eq!(script.pending(), body.len(), "no body byte was read");
+        assert!(frames.buf.len() <= READ_CHUNK, "a claimed length allocates nothing");
+    }
+
+    #[test]
+    fn frame_buffer_grows_for_a_frame_larger_than_its_initial_size() {
+        let big: Vec<u8> = (0..3 * READ_CHUNK + 5).map(|i| i as u8).collect();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &big).unwrap();
+        write_frame(&mut wire, b"after").unwrap();
+        let mut script = Script::new(vec![Step::Data(wire)]);
+        let mut frames = FrameBuffer::new();
+        let got = frames.read_frame_ref(&mut script, MAX_FRAME_LEN).unwrap();
+        assert_eq!(got, Some(&big[..]));
+        assert_eq!(frames.buf.len(), 4 * READ_CHUNK, "doubled from the initial size");
+        let next = frames.read_frame_buffered(&mut script, MAX_FRAME_LEN).unwrap();
+        assert_eq!(next.as_deref(), Some(&b"after"[..]));
+        assert!(frames.read_frame_buffered(&mut script, MAX_FRAME_LEN).unwrap().is_none());
+        assert_eq!(frames.buf.len(), 4 * READ_CHUNK, "no growth for frames that fit");
+    }
+
+    #[test]
+    fn frame_buffer_fill_without_growth_stops_at_a_full_buffer() {
+        let mut frames = FrameBuffer::new();
+        let mut script =
+            Script::new(vec![Step::Data(vec![0u8; 4]), Step::Data(vec![9u8; 2 * READ_CHUNK])]);
+        assert_eq!(frames.fill_tail(&mut script, true).unwrap(), 4);
+        assert_eq!(frames.fill_tail(&mut script, false).unwrap(), READ_CHUNK - 4);
+        assert_eq!(frames.fill_tail(&mut script, false).unwrap(), 0, "full: nothing read");
+        assert_eq!(frames.buf.len(), READ_CHUNK, "no growth without `grow`");
+        assert_eq!(script.pending(), READ_CHUNK + 4);
     }
 
     #[test]

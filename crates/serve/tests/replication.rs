@@ -774,12 +774,12 @@ fn failover_client_completes_operations_with_a_node_down() {
     let mut fc = FailoverClient::with_options(&[addr_a, addr_b], opts, 3);
     assert_eq!(fc.current_addr(), addr_a);
 
-    fc.put("events", &sketch(0, 5_000)).unwrap();
-    fc.merge("events", &sketch(2_500, 7_500)).unwrap();
-    fc.put("other", &sketch(0, 2_500)).unwrap();
-    let card = fc.card("events").unwrap();
+    fc.call(|c| c.put("events", &sketch(0, 5_000))).unwrap();
+    fc.call(|c| c.merge("events", &sketch(2_500, 7_500))).unwrap();
+    fc.call(|c| c.put("other", &sketch(0, 2_500))).unwrap();
+    let card = fc.call(|c| c.card("events")).unwrap();
     assert!((card / 7_500.0 - 1.0).abs() < 0.15, "union survived failover: {card}");
-    let j = fc.jaccard("other", "events").unwrap();
+    let j = fc.call(|c| c.jaccard("other", "events")).unwrap();
     assert!(j > 0.0 && j < 1.0, "jaccard answered: {j}");
 
     // After the first rotation the client stays on the live replica.
@@ -787,7 +787,7 @@ fn failover_client_completes_operations_with_a_node_down() {
 
     // Server-final answers do not burn the budget rotating: a missing
     // name is NotFound immediately, not after cycling the ring.
-    match fc.card("missing") {
+    match fc.call(|c| c.card("missing")) {
         Err(ClientError::NotFound(name)) => assert_eq!(name, "missing"),
         other => panic!("expected NotFound, got {other:?}"),
     }
@@ -798,7 +798,7 @@ fn failover_client_completes_operations_with_a_node_down() {
     // error from whichever replica happened to be tried last.
     fc.shutdown().unwrap();
     b.join();
-    let err = fc.card("events").unwrap_err();
+    let err = fc.call(|c| c.card("events")).unwrap_err();
     match err {
         ClientError::AllReplicasDown { attempts, last_errors } => {
             assert_eq!(attempts, 3, "the configured budget is reported");
@@ -827,7 +827,7 @@ fn failover_client_types_the_all_down_path() {
         ..ClientOptions::default()
     };
     let mut fc = FailoverClient::with_options(&[addr_a, addr_b], opts, 4);
-    let err = fc.put("orphan", &sketch(0, 100)).unwrap_err();
+    let err = fc.call(|c| c.put("orphan", &sketch(0, 100))).unwrap_err();
     match &err {
         ClientError::AllReplicasDown { attempts, last_errors } => {
             assert_eq!(*attempts, 4);
@@ -849,7 +849,7 @@ fn failover_client_types_the_all_down_path() {
     // at three) mean repeated calls soon refuse from memory: still
     // typed, still instant, zero further dials.
     let started = std::time::Instant::now();
-    let again = fc.put("orphan", &sketch(0, 100)).unwrap_err();
+    let again = fc.call(|c| c.put("orphan", &sketch(0, 100))).unwrap_err();
     assert!(
         matches!(
             again,
@@ -858,7 +858,7 @@ fn failover_client_types_the_all_down_path() {
         "repeat all-down call must stay typed, got {again:?}"
     );
     let err = loop {
-        match fc.put("orphan", &sketch(0, 100)).unwrap_err() {
+        match fc.call(|c| c.put("orphan", &sketch(0, 100))).unwrap_err() {
             e @ ClientError::BreakerOpen { .. } => break e,
             ClientError::AllReplicasDown { .. } if started.elapsed() < Duration::from_secs(5) => {}
             other => panic!("expected breaker escalation, got {other:?}"),
