@@ -898,56 +898,7 @@ fn cmd_client(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         }
         ("health", []) => {
             let h = client.call(hmh_serve::Client::health).map_err(|e| fail("health", e))?;
-            write_out(
-                out,
-                format!(
-                    "read_only: {}\nworkers: {}\nqueue: {}/{}\nactive: {}\nshed: {}\nserved: {}\n\
-                     sketches: {}\nstore_clean: {}\nquarantined: {}\ntruncated_tail: {}\n\
-                     replication_rounds: {}\nroute_epoch: {}\nroute_handoffs: {}\n\
-                     expired: {}\nretry_budget_exhausted: {}\nbreaker_open: {}\n\
-                     scrub_rounds: {}\nrecords_scrubbed: {}\ncorrupt_found: {}\n\
-                     repaired: {}\nscrub_quarantined: {}\nlast_scrub: {}\npeers: {}\n",
-                    h.read_only,
-                    h.workers,
-                    h.queue_depth,
-                    h.queue_capacity,
-                    h.active,
-                    h.shed,
-                    h.served,
-                    h.sketches,
-                    h.store_clean,
-                    h.quarantined,
-                    h.truncated_tail,
-                    h.rounds,
-                    h.route_epoch,
-                    h.route_handoffs,
-                    h.expired,
-                    h.retry_exhausted,
-                    h.breaker_open,
-                    h.scrub_rounds,
-                    h.records_scrubbed,
-                    h.corrupt_found,
-                    h.repaired,
-                    h.scrub_quarantined,
-                    scrub_age(h.last_scrub_age_ms),
-                    h.peers.len(),
-                ),
-            )?;
-            for peer in &h.peers {
-                let age = if peer.last_sync_age == u64::MAX {
-                    "never synced".to_string()
-                } else {
-                    format!("last sync {} round(s) ago", peer.last_sync_age)
-                };
-                write_out(
-                    out,
-                    format!(
-                        "peer {}: {}, {age}, {} mismatch(es) repaired\n",
-                        peer.addr, peer.state, peer.mismatches
-                    ),
-                )?;
-            }
-            Ok(())
+            write_out(out, render_health(&h))
         }
         ("scrub", rest) if rest.is_empty() || rest == ["--status".to_string()] => {
             // Bare `scrub` triggers one full synchronous pass server-side;
@@ -981,6 +932,41 @@ fn cmd_client(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             "bad client operation {op:?} (or wrong arguments)\n(see `hmh help`)"
         ))),
     }
+}
+
+/// The `client ADDR health` text: one `label: value` line per HEALTH
+/// scalar in wire order (a capacity joins the next row's line as
+/// `gauge/capacity`), then the peer count and one line per peer.
+fn render_health(h: &hmh_serve::Health) -> String {
+    use hmh_serve::proto::Scalar;
+    let mut text = String::new();
+    let mut capacity = None;
+    for (label, _, value) in h.clone().scalars() {
+        let shown = match &value {
+            Scalar::Capacity(_) => {
+                capacity = Some(value.get());
+                continue;
+            }
+            Scalar::Bool(b) => b.to_string(),
+            Scalar::AgeMs(ms) => scrub_age(**ms),
+            Scalar::U32(_) | Scalar::U64(_) => value.get().to_string(),
+        };
+        let bound = capacity.take().map(|c| format!("/{c}")).unwrap_or_default();
+        text.push_str(&format!("{label}: {shown}{bound}\n"));
+    }
+    text.push_str(&format!("peers: {}\n", h.peers.len()));
+    for peer in &h.peers {
+        let age = if peer.last_sync_age == u64::MAX {
+            "never synced".to_string()
+        } else {
+            format!("last sync {} round(s) ago", peer.last_sync_age)
+        };
+        text.push_str(&format!(
+            "peer {}: {}, {age}, {} mismatch(es) repaired\n",
+            peer.addr, peer.state, peer.mismatches
+        ));
+    }
+    text
 }
 
 /// Render a `last_scrub_age_ms` wire value: `u64::MAX` is the sentinel
@@ -1326,6 +1312,72 @@ pub fn write_lines(path: &Path, lines: impl IntoIterator<Item = String>) -> std:
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A HEALTH snapshot with every scalar distinct, built through the
+    /// scalar table (row `i` holds `i + 1`, a boolean row `i % 3 != 0`), with
+    /// the scrub age and two peers supplied by the caller.
+    fn fixed_health(last_scrub_age_ms: u64) -> hmh_serve::Health {
+        use hmh_serve::{proto::Scalar, PeerHealth, PeerState};
+        let mut h = hmh_serve::Health::default();
+        for (i, (_, _, mut value)) in (0u64..).zip(h.scalars()) {
+            match value {
+                Scalar::Bool(_) => value.set(i % 3),
+                Scalar::AgeMs(_) => value.set(last_scrub_age_ms),
+                _ => value.set(i + 1),
+            }
+        }
+        h.peers = vec![
+            PeerHealth {
+                addr: "10.0.0.1:7000".into(),
+                state: PeerState::Suspect,
+                last_sync_age: 3,
+                mismatches: 12,
+            },
+            PeerHealth {
+                addr: "g2".into(),
+                state: PeerState::Down,
+                last_sync_age: u64::MAX,
+                mismatches: 0,
+            },
+        ];
+        h
+    }
+
+    #[test]
+    fn health_text_is_pinned() {
+        // Captured from the printer that listed every field by hand; the
+        // CI drills grep this text.
+        let never = "\
+read_only: false
+workers: 2
+queue: 4/3
+active: 5
+shed: 6
+served: 7
+sketches: 8
+store_clean: true
+quarantined: 10
+truncated_tail: true
+replication_rounds: 12
+route_epoch: 13
+route_handoffs: 14
+expired: 15
+retry_budget_exhausted: 16
+breaker_open: 17
+scrub_rounds: 18
+records_scrubbed: 19
+corrupt_found: 20
+repaired: 21
+scrub_quarantined: 22
+last_scrub: never completed
+peers: 2
+peer 10.0.0.1:7000: suspect, last sync 3 round(s) ago, 12 mismatch(es) repaired
+peer g2: down, never synced, 0 mismatch(es) repaired
+";
+        assert_eq!(render_health(&fixed_health(u64::MAX)), never);
+        let recent = never.replace("last_scrub: never completed", "last_scrub: 1500 ms ago");
+        assert_eq!(render_health(&fixed_health(1500)), recent);
+    }
 
     struct TempDir(std::path::PathBuf);
 

@@ -189,7 +189,9 @@ pub fn line_guards(line: &str, idents: &[&str], bounded_calls: &[String]) -> boo
 }
 
 /// Scan upward from `line_no` (inclusive) through at most `window`
-/// lines looking for a guard on `idents`. The scan stops at a function
+/// lines looking for a guard on `idents` in the statement each line
+/// starts (joined down to a line ending in `;`, `,`, `{` or `}`, so a
+/// rustfmt-wrapped `let` is one). The scan stops at a function
 /// boundary — a guard in a *different* function bounds nothing here.
 pub fn guarded_within(
     src: &SourceFile,
@@ -198,13 +200,18 @@ pub fn guarded_within(
     idents: &[&str],
     bounded_calls: &[String],
 ) -> bool {
+    let mut statement = String::new();
     for back in 0..=window {
         let Some(n) = line_no.checked_sub(back) else { break };
         if n == 0 {
             break;
         }
         let line = src.line(n);
-        if line_guards(line, idents, bounded_calls) {
+        if line.trim_end().ends_with([';', ',', '{', '}']) {
+            statement.clear();
+        }
+        statement.insert_str(0, &format!("{line} "));
+        if line_guards(&statement, idents, bounded_calls) {
             return true;
         }
         // Function boundary (checked after the guard test: the header

@@ -96,6 +96,18 @@ fn shift_ignores_generics_closers() {
 #[test]
 fn cast_fires_on_unbounded_operand() {
     let f = fired("core", include_str!("fixtures/cast_fire.rs"));
+    assert_eq!(count_rule(&f, "truncating-cast"), 2, "findings: {f:?}");
+}
+
+#[test]
+fn cast_guard_reads_a_wrapped_statement_to_its_end() {
+    // The bound sits on the `let`'s continuation line: one statement.
+    let wrapped = "pub fn f(d: &D) -> u32 {\n    let (_c, m) =\n        d.take_bits(0, 6);\n    m as u32\n}\n";
+    let f = fired("core", wrapped);
+    assert_eq!(count_rule(&f, "truncating-cast"), 0, "findings: {f:?}");
+    // The `let` ends at its `;`: a bound in the next statement is not its.
+    let split = "pub fn f(d: &D, w: u64) -> u32 {\n    let m =\n        w;\n    let _b = d.take_bits(0, 6);\n    m as u32\n}\n";
+    let f = fired("core", split);
     assert_eq!(count_rule(&f, "truncating-cast"), 1, "findings: {f:?}");
 }
 

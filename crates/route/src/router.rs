@@ -607,75 +607,31 @@ fn scatter_scrub(
     Response::Scrub(report)
 }
 
-/// HEALTH scatter-gather: liveness-gated health from every group,
-/// aggregated into one snapshot. Per-group state rides the `peers`
-/// slots (addr = group id); `route_epoch`/`route_handoffs` are the
-/// router's own.
+/// HEALTH scatter-gather: the router's own snapshot with every group's
+/// liveness-gated HEALTH folded in ([`Health::fold`]); a group that is
+/// down or fails to answer folds as [`Health::unreachable`]. Per-group
+/// liveness rides the `peers` slots (addr = group id).
 fn scatter_health(shared: &Shared, shards: &mut ShardClients) -> Health {
-    let mut sketches = 0u64;
-    let mut store_clean = true;
-    let mut read_only = false;
-    let mut expired_sum = 0u64;
-    let mut retry_sum = 0u64;
-    let mut breaker_sum = 0u64;
-    let mut scrub_rounds = 0u64;
-    let mut records_scrubbed = 0u64;
-    let mut corrupt_found = 0u64;
-    let mut repaired = 0u64;
-    let mut scrub_quarantined = 0u64;
-    // Oldest completed-pass age across shards: the cluster has scrubbed
-    // only as recently as its most-stale shard, and a shard that never
-    // finished a pass (or could not be asked) pins this at u64::MAX.
-    let mut last_scrub_age_ms = 0u64;
-    for group in 0..shared.ring.group_count() {
-        if !shared.liveness.should_attempt(group) {
-            store_clean = false;
-            last_scrub_age_ms = u64::MAX;
-            continue;
-        }
-        match shards.groups[group].call(Client::health) {
-            Ok(h) => {
-                shared.liveness.record(group, true);
-                sketches = sketches.saturating_add(h.sketches);
-                store_clean &= h.store_clean;
-                read_only |= h.read_only;
-                expired_sum = expired_sum.saturating_add(h.expired);
-                retry_sum = retry_sum.saturating_add(h.retry_exhausted);
-                breaker_sum = breaker_sum.saturating_add(h.breaker_open);
-                scrub_rounds = scrub_rounds.saturating_add(h.scrub_rounds);
-                records_scrubbed = records_scrubbed.saturating_add(h.records_scrubbed);
-                corrupt_found = corrupt_found.saturating_add(h.corrupt_found);
-                repaired = repaired.saturating_add(h.repaired);
-                scrub_quarantined = scrub_quarantined.saturating_add(h.scrub_quarantined);
-                last_scrub_age_ms = last_scrub_age_ms.max(h.last_scrub_age_ms);
+    let groups: Vec<Health> = (0..shared.ring.group_count())
+        .map(|group| {
+            if !shared.liveness.should_attempt(group) {
+                return Health::unreachable();
             }
-            Err(_) => {
-                shared.liveness.record(group, false);
-                store_clean = false;
-                last_scrub_age_ms = u64::MAX;
-            }
-        }
-    }
+            let reply = shards.groups[group].call(Client::health);
+            shared.liveness.record(group, reply.is_ok());
+            reply.unwrap_or_else(|_| Health::unreachable())
+        })
+        .collect();
     let round = shared.liveness.round.load(Ordering::Relaxed);
-    let peers =
-        (0..shared.ring.group_count()).map(|g| shared.liveness.tracker(g).health(round)).collect();
-    let front = shared.front.health();
     Health {
-        read_only,
-        sketches,
-        store_clean,
         route_epoch: shared.ring.epoch(),
         route_handoffs: shared.handoffs.load(Ordering::Relaxed),
-        expired: front.expired.saturating_add(expired_sum),
-        retry_exhausted: shared.budget.exhausted().saturating_add(retry_sum),
-        breaker_open: shared.breaker_refusals.load(Ordering::Relaxed).saturating_add(breaker_sum),
-        scrub_rounds,
-        records_scrubbed,
-        corrupt_found,
-        repaired,
-        scrub_quarantined,
-        last_scrub_age_ms,
-        peers,
-        ..front
+        retry_exhausted: shared.budget.exhausted(),
+        breaker_open: shared.breaker_refusals.load(Ordering::Relaxed),
+        peers: (0..shared.ring.group_count())
+            .map(|g| shared.liveness.tracker(g).health(round))
+            .collect(),
+        ..shared.front.health()
     }
+    .fold(groups)
 }

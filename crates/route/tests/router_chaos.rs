@@ -292,6 +292,72 @@ fn partitioned_group_degrades_typed_and_bounded_never_hanging() {
     node_a.join();
 }
 
+/// Damage a stopped daemon's WAL: flip one payload byte of the record
+/// holding `name` (its u16 name length sits 6 bytes before the name).
+fn rot_record(dir: &TempDir, name: &str) {
+    let path = dir.0.join("wal.hmr");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let at = bytes
+        .windows(name.len())
+        .enumerate()
+        .position(|(i, w)| {
+            w == name.as_bytes()
+                && i >= 6
+                && usize::from(u16::from_le_bytes([bytes[i - 6], bytes[i - 5]])) == name.len()
+        })
+        .expect("record is in the WAL");
+    bytes[at + name.len() + 8] ^= 0x01;
+    std::fs::write(&path, &bytes).unwrap();
+}
+
+#[test]
+fn routed_health_folds_every_shards_store_scan() {
+    // Damage each group's store while its daemon is down: a rotted
+    // record on `a`, a torn WAL tail on `b`.
+    let (dir_a, dir_b) = (TempDir::new("scan-a"), TempDir::new("scan-b"));
+    for dir in [&dir_a, &dir_b] {
+        let node = start(dir);
+        let mut direct = client(node.addr());
+        direct.put("scan/0", &sketch(0, 300)).unwrap();
+        direct.put("scan/1", &sketch(300, 600)).unwrap();
+        drop(direct);
+        node.join();
+    }
+    rot_record(&dir_a, "scan/0");
+    let wal_b = dir_b.0.join("wal.hmr");
+    let len = std::fs::metadata(&wal_b).unwrap().len();
+    std::fs::OpenOptions::new().write(true).open(&wal_b).unwrap().set_len(len - 3).unwrap();
+
+    // Reopen with auto-heal and background scrub off, so the on-disk
+    // scan behind each daemon's HEALTH keeps seeing the damage.
+    let reopen = |dir: &TempDir| {
+        let opts = ServeOptions {
+            front: FrontOptions { workers: 2, ..FrontOptions::default() },
+            store: StoreOptions { auto_heal: false, ..StoreOptions::no_sleep() },
+            scrub_interval: Duration::ZERO,
+            ..ServeOptions::default()
+        };
+        serve(&dir.0, "127.0.0.1:0", opts).unwrap()
+    };
+    let (node_a, node_b) = (reopen(&dir_a), reopen(&dir_b));
+    let shard_a = client(node_a.addr()).health().unwrap();
+    let shard_b = client(node_b.addr()).health().unwrap();
+    assert!(shard_a.quarantined > 0 && !shard_a.store_clean, "{shard_a:?}");
+    assert!(shard_b.truncated_tail && !shard_b.store_clean, "{shard_b:?}");
+
+    let router = start_router(ring_of(1, &[("a", &[node_a.addr()]), ("b", &[node_b.addr()])]));
+    let routed = client(router.addr()).health().unwrap();
+    assert_eq!(routed.quarantined, shard_a.quarantined + shard_b.quarantined);
+    assert!(routed.truncated_tail, "any shard's torn tail shows through the router");
+    assert_eq!(routed.rounds, shard_a.rounds + shard_b.rounds);
+    assert!(!routed.store_clean, "a quarantining shard must not report a clean cluster");
+    assert_eq!(routed.sketches, shard_a.sketches + shard_b.sketches);
+
+    router.join();
+    node_a.join();
+    node_b.join();
+}
+
 #[test]
 fn rebalance_is_lossless_exclusive_and_visible_in_health() {
     let dirs: Vec<TempDir> =

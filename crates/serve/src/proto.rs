@@ -517,6 +517,127 @@ pub struct Health {
     pub peers: Vec<PeerHealth>,
 }
 
+/// How a routing tier folds one HEALTH scalar over its shards
+/// ([`Health::fold`]); each rule is associative and commutative.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fold {
+    /// The folding process's own value; the shards' are ignored.
+    Own,
+    /// Saturating sum: a count over the whole cluster.
+    Sum,
+    /// The largest value: the most stale shard's.
+    Max,
+    /// Logical or: true when any shard reports it.
+    Any,
+    /// Logical and: true only when every shard reports it.
+    All,
+}
+
+/// One HEALTH scalar's field, typed by its wire form: the low 1, 4 or
+/// 8 bytes of its [`Scalar::get`] value, little-endian.
+pub enum Scalar<'a> {
+    /// One wire byte.
+    Bool(&'a mut bool),
+    /// Four wire bytes.
+    U32(&'a mut u32),
+    /// A `U32` printed as the `/capacity` of the next row's gauge.
+    Capacity(&'a mut u32),
+    /// Eight wire bytes.
+    U64(&'a mut u64),
+    /// A `U64` age in milliseconds; `u64::MAX` means "never".
+    AgeMs(&'a mut u64),
+}
+
+impl Scalar<'_> {
+    /// The value widened to `u64`, a `bool` as 0 or 1.
+    pub fn get(&self) -> u64 {
+        match self {
+            Scalar::Bool(v) => u64::from(**v),
+            Scalar::U32(v) | Scalar::Capacity(v) => u64::from(**v),
+            Scalar::U64(v) | Scalar::AgeMs(v) => **v,
+        }
+    }
+
+    /// Store `value`, saturating to the field's width.
+    pub fn set(&mut self, value: u64) {
+        match self {
+            Scalar::Bool(v) => **v = value != 0,
+            Scalar::U32(v) | Scalar::Capacity(v) => **v = u32::try_from(value).unwrap_or(u32::MAX),
+            Scalar::U64(v) | Scalar::AgeMs(v) => **v = value,
+        }
+    }
+
+    fn width(&self) -> usize {
+        match self {
+            Scalar::Bool(_) => 1,
+            Scalar::U32(_) | Scalar::Capacity(_) => 4,
+            Scalar::U64(_) | Scalar::AgeMs(_) => 8,
+        }
+    }
+}
+
+impl Health {
+    /// Every HEALTH scalar in wire order, as `(label, fold, field)`: the
+    /// label `hmh client ADDR health` prints, the rule a routing tier
+    /// folds it by, and the field. The one list of the scalars: the wire
+    /// codec, the router's fold and the CLI printer loop over it.
+    pub fn scalars(&mut self) -> [(&'static str, Fold, Scalar<'_>); 23] {
+        use Fold::{All, Any, Max, Own, Sum};
+        [
+            ("read_only", Any, Scalar::Bool(&mut self.read_only)),
+            ("workers", Own, Scalar::U32(&mut self.workers)),
+            ("queue_capacity", Own, Scalar::Capacity(&mut self.queue_capacity)),
+            ("queue", Own, Scalar::U32(&mut self.queue_depth)),
+            ("active", Own, Scalar::U32(&mut self.active)),
+            ("shed", Own, Scalar::U64(&mut self.shed)),
+            ("served", Own, Scalar::U64(&mut self.served)),
+            ("sketches", Sum, Scalar::U64(&mut self.sketches)),
+            ("store_clean", All, Scalar::Bool(&mut self.store_clean)),
+            ("quarantined", Sum, Scalar::U64(&mut self.quarantined)),
+            ("truncated_tail", Any, Scalar::Bool(&mut self.truncated_tail)),
+            ("replication_rounds", Sum, Scalar::U64(&mut self.rounds)),
+            ("route_epoch", Own, Scalar::U64(&mut self.route_epoch)),
+            ("route_handoffs", Own, Scalar::U64(&mut self.route_handoffs)),
+            ("expired", Sum, Scalar::U64(&mut self.expired)),
+            ("retry_budget_exhausted", Sum, Scalar::U64(&mut self.retry_exhausted)),
+            ("breaker_open", Sum, Scalar::U64(&mut self.breaker_open)),
+            ("scrub_rounds", Sum, Scalar::U64(&mut self.scrub_rounds)),
+            ("records_scrubbed", Sum, Scalar::U64(&mut self.records_scrubbed)),
+            ("corrupt_found", Sum, Scalar::U64(&mut self.corrupt_found)),
+            ("repaired", Sum, Scalar::U64(&mut self.repaired)),
+            ("scrub_quarantined", Sum, Scalar::U64(&mut self.scrub_quarantined)),
+            ("last_scrub", Max, Scalar::AgeMs(&mut self.last_scrub_age_ms)),
+        ]
+    }
+
+    /// Fold shards' snapshots into this one, a process's that holds no
+    /// store (a routing tier's): each scalar by its [`Fold`], an `All`
+    /// row over the shards alone. `peers` is left as it is.
+    pub fn fold(mut self, shards: impl IntoIterator<Item = Health>) -> Health {
+        for (k, mut shard) in shards.into_iter().enumerate() {
+            for ((_, fold, mut mine), (_, _, theirs)) in
+                self.scalars().into_iter().zip(shard.scalars())
+            {
+                let (a, b) = (mine.get(), theirs.get());
+                mine.set(match fold {
+                    Fold::Own => a,
+                    Fold::Sum => a.saturating_add(b),
+                    Fold::Max | Fold::Any => a.max(b),
+                    Fold::All if k == 0 => b,
+                    Fold::All => a.min(b),
+                });
+            }
+        }
+        self
+    }
+
+    /// What a shard that could not be asked folds as: its store is not
+    /// known to be clean, and its scrub has never completed.
+    pub fn unreachable() -> Health {
+        Health { store_clean: false, last_scrub_age_ms: u64::MAX, ..Health::default() }
+    }
+}
+
 /// A server response.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
@@ -1136,29 +1257,9 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         }
         Response::Health(h) => {
             out.push(status::HEALTH);
-            out.push(u8::from(h.read_only));
-            out.extend_from_slice(&h.workers.to_le_bytes());
-            out.extend_from_slice(&h.queue_capacity.to_le_bytes());
-            out.extend_from_slice(&h.queue_depth.to_le_bytes());
-            out.extend_from_slice(&h.active.to_le_bytes());
-            out.extend_from_slice(&h.shed.to_le_bytes());
-            out.extend_from_slice(&h.served.to_le_bytes());
-            out.extend_from_slice(&h.sketches.to_le_bytes());
-            out.push(u8::from(h.store_clean));
-            out.extend_from_slice(&h.quarantined.to_le_bytes());
-            out.push(u8::from(h.truncated_tail));
-            out.extend_from_slice(&h.rounds.to_le_bytes());
-            out.extend_from_slice(&h.route_epoch.to_le_bytes());
-            out.extend_from_slice(&h.route_handoffs.to_le_bytes());
-            out.extend_from_slice(&h.expired.to_le_bytes());
-            out.extend_from_slice(&h.retry_exhausted.to_le_bytes());
-            out.extend_from_slice(&h.breaker_open.to_le_bytes());
-            out.extend_from_slice(&h.scrub_rounds.to_le_bytes());
-            out.extend_from_slice(&h.records_scrubbed.to_le_bytes());
-            out.extend_from_slice(&h.corrupt_found.to_le_bytes());
-            out.extend_from_slice(&h.repaired.to_le_bytes());
-            out.extend_from_slice(&h.scrub_quarantined.to_le_bytes());
-            out.extend_from_slice(&h.last_scrub_age_ms.to_le_bytes());
+            for (_, _, value) in h.clone().scalars() {
+                out.extend_from_slice(&value.get().to_le_bytes()[..value.width()]);
+            }
             assert!(h.peers.len() <= MAX_PEERS, "invariant: daemons cap peer lists");
             let count = u16::try_from(h.peers.len()).expect("invariant: MAX_PEERS fits u16");
             out.extend_from_slice(&count.to_le_bytes());
@@ -1444,32 +1545,12 @@ pub fn decode_response(body: &[u8]) -> Result<Response, ProtoError> {
             Response::NamesPage { names, partial }
         }
         status::HEALTH => {
-            let mut h = Health {
-                read_only: c.flag()?,
-                workers: c.u32()?,
-                queue_capacity: c.u32()?,
-                queue_depth: c.u32()?,
-                active: c.u32()?,
-                shed: c.u64()?,
-                served: c.u64()?,
-                sketches: c.u64()?,
-                store_clean: c.flag()?,
-                quarantined: c.u64()?,
-                truncated_tail: c.flag()?,
-                rounds: c.u64()?,
-                route_epoch: c.u64()?,
-                route_handoffs: c.u64()?,
-                expired: c.u64()?,
-                retry_exhausted: c.u64()?,
-                breaker_open: c.u64()?,
-                scrub_rounds: c.u64()?,
-                records_scrubbed: c.u64()?,
-                corrupt_found: c.u64()?,
-                repaired: c.u64()?,
-                scrub_quarantined: c.u64()?,
-                last_scrub_age_ms: c.u64()?,
-                peers: Vec::new(),
-            };
+            let mut h = Health::default();
+            for (_, _, mut value) in h.scalars() {
+                let mut le = [0u8; 8];
+                le[..value.width()].copy_from_slice(c.take(value.width())?);
+                value.set(u64::from_le_bytes(le));
+            }
             let count = usize::from(c.u16()?);
             if count > MAX_PEERS {
                 return Err(ProtoError::FieldTooLarge { got: count, max: MAX_PEERS });
@@ -2226,26 +2307,137 @@ mod tests {
     }
 
     #[test]
-    fn health_overload_counters_round_trip() {
-        round_trip_response(Response::Health(Health {
-            expired: u64::MAX,
-            retry_exhausted: 1,
-            breaker_open: 0xDEAD_BEEF,
-            ..Health::default()
-        }));
+    fn every_health_scalar_round_trips() {
+        // Each row gets a distinct value that fills its wire width, so
+        // a row the codec drops, reorders or narrows fails here; a new
+        // scalar is covered by adding its row.
+        let mut h = Health::default();
+        for (i, (label, _, mut value)) in (0u64..).zip(h.scalars()) {
+            match value {
+                Scalar::Bool(_) => value.set(1),
+                Scalar::U32(_) | Scalar::Capacity(_) => value.set(u64::from(u32::MAX) - i),
+                Scalar::U64(_) | Scalar::AgeMs(_) => value.set(u64::MAX - i),
+            }
+            assert_ne!(value.get(), 0, "{label} must differ from its default");
+        }
+        round_trip_response(Response::Health(h));
     }
 
     #[test]
-    fn health_scrub_counters_round_trip() {
-        round_trip_response(Response::Health(Health {
-            scrub_rounds: 7,
-            records_scrubbed: u64::MAX,
-            corrupt_found: 11,
-            repaired: 10,
-            scrub_quarantined: 1,
-            last_scrub_age_ms: u64::MAX,
+    fn health_fold_follows_each_rows_rule() {
+        let own = Health { workers: 4, served: 9, expired: 1, route_epoch: 3, ..Health::default() };
+        let shard_a = Health {
+            workers: 2,
+            served: 100,
+            expired: 2,
+            route_epoch: 7,
+            sketches: 10,
+            store_clean: true,
+            quarantined: 1,
+            rounds: 5,
+            last_scrub_age_ms: 30,
             ..Health::default()
-        }));
+        };
+        let shard_b = Health {
+            read_only: true,
+            sketches: 5,
+            truncated_tail: true,
+            quarantined: 2,
+            rounds: 1,
+            last_scrub_age_ms: 10,
+            ..Health::default()
+        };
+        let h = own.fold([shard_a, shard_b]);
+        // Own rows keep the folding process's values; Sum, Max, Any and
+        // All fold.
+        assert_eq!((h.workers, h.served, h.route_epoch), (4, 9, 3));
+        assert_eq!((h.expired, h.sketches, h.quarantined, h.rounds), (3, 15, 3, 6));
+        assert_eq!(h.last_scrub_age_ms, 30);
+        assert!(h.read_only && h.truncated_tail && !h.store_clean);
+        // An unreachable shard pins the scrub age at "never"; sums saturate.
+        let h = h.fold([Health::unreachable(), Health { sketches: u64::MAX, ..Health::default() }]);
+        assert_eq!((h.last_scrub_age_ms, h.sketches), (u64::MAX, u64::MAX));
+    }
+
+    /// A HEALTH snapshot with every scalar distinct (no two integer
+    /// rows share a value, and each one fills its whole wire width) and
+    /// two peers.
+    fn golden_health() -> Health {
+        Health {
+            read_only: true,
+            workers: 0x0102_0304,
+            queue_capacity: 0x0506_0708,
+            queue_depth: 0x090A_0B0C,
+            active: 0x0D0E_0F10,
+            shed: 0x1112_1314_1516_1718,
+            served: 0x191A_1B1C_1D1E_1F20,
+            sketches: 0x2122_2324_2526_2728,
+            store_clean: false,
+            quarantined: 0x292A_2B2C_2D2E_2F30,
+            truncated_tail: true,
+            rounds: 0x3132_3334_3536_3738,
+            route_epoch: 0x393A_3B3C_3D3E_3F40,
+            route_handoffs: 0x4142_4344_4546_4748,
+            expired: 0x494A_4B4C_4D4E_4F50,
+            retry_exhausted: 0x5152_5354_5556_5758,
+            breaker_open: 0x595A_5B5C_5D5E_5F60,
+            scrub_rounds: 0x6162_6364_6566_6768,
+            records_scrubbed: 0x696A_6B6C_6D6E_6F70,
+            corrupt_found: 0x7172_7374_7576_7778,
+            repaired: 0x797A_7B7C_7D7E_7F80,
+            scrub_quarantined: 0x8182_8384_8586_8788,
+            last_scrub_age_ms: 0x898A_8B8C_8D8E_8F90,
+            peers: vec![
+                PeerHealth {
+                    addr: "10.0.0.1:7000".into(),
+                    state: PeerState::Suspect,
+                    last_sync_age: 3,
+                    mismatches: 0xA1A2_A3A4_A5A6_A7A8,
+                },
+                PeerHealth {
+                    addr: "b".into(),
+                    state: PeerState::Down,
+                    last_sync_age: u64::MAX,
+                    mismatches: 0,
+                },
+            ],
+        }
+    }
+
+    #[test]
+    fn health_encoding_matches_golden_bytes() {
+        let hex: String = encode_response(&Response::Health(golden_health()))
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        // Captured before the codec became table-driven.
+        let golden = concat!(
+            // status: HEALTH
+            "04",
+            // read_only, workers, queue_capacity, queue_depth, active
+            "0104030201080706050c0b0a09100f0e0d",
+            // shed, served, sketches
+            "1817161514131211201f1e1d1c1b1a192827262524232221",
+            // store_clean, quarantined, truncated_tail
+            "00302f2e2d2c2b2a2901",
+            // rounds, route_epoch, route_handoffs
+            "3837363534333231403f3e3d3c3b3a394847464544434241",
+            // expired, retry_exhausted, breaker_open
+            "504f4e4d4c4b4a495857565554535251605f5e5d5c5b5a59",
+            // scrub_rounds, records_scrubbed, corrupt_found
+            "6867666564636261706f6e6d6c6b6a697877767574737271",
+            // repaired, scrub_quarantined, last_scrub_age_ms
+            "807f7e7d7c7b7a798887868584838281908f8e8d8c8b8a89",
+            // peer count
+            "0200",
+            // peer 1
+            "0d0031302e302e302e313a37303030010300000000000000a8a7a6a5a4a3a2a1",
+            // peer 2
+            "01006202ffffffffffffffff0000000000000000",
+        );
+        assert_eq!(hex, golden);
+        let bytes = encode_response(&Response::Health(golden_health()));
+        assert_eq!(decode_response(&bytes).unwrap(), Response::Health(golden_health()));
     }
 
     #[test]
