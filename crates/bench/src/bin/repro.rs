@@ -1,26 +1,12 @@
-//! `repro` — regenerate every table and figure of the paper.
-//!
-//! ```text
-//! repro <experiment> [--trials N] [--seed S] [--quick] [--csv DIR]
-//!
-//! experiments:
-//!   fig6         Figure 6 (256-byte sketches, J = 1/3 error vs cardinality)
-//!   headline     Abstract/§5 claim (64 KiB, J = 0.01 at n = 10^19)
-//!   collisions   Lemma 4 / Algorithm 5 / Theorem 1 collision accounting
-//!   variance     Theorem 2 collision variance
-//!   approx       Algorithm 6 vs Algorithm 5 accuracy
-//!   ie-vs-hmh    §1.3 HLL inclusion-exclusion / joint-MLE vs HyperMinHash
-//!   cnf-ie       CNF strategies: k-way registers vs inclusion-exclusion
-//!   bbit         §1.3-1.4 b-bit MinHash accuracy and non-composability
-//!   space-sweep  byte budget × r trade-off surface
-//!   cardinality  Algorithm 3 decade sweep with estimator ablations
-//!   all          everything above
-//! ```
+//! `repro` — regenerate the paper's tables and figures, and time the
+//! kernels and the service paths. `repro --help` lists the experiments;
+//! the list, the dispatch and `all` all come from
+//! `hmh_bench::experiments::EXPERIMENTS`.
 
-use hmh_bench::experiments::{
-    approx, bbit, cardinality, cnf_ie, collisions, fig6, headline, ie_vs_hmh, ingest, route,
-    space_sweep, variance, Config,
-};
+use std::collections::HashSet;
+use std::fmt::Write as _;
+
+use hmh_bench::experiments::{Config, Experiment, Run, EXPERIMENTS};
 use hmh_bench::Table;
 
 fn main() {
@@ -53,7 +39,7 @@ fn main() {
                     Some(args.get(i).cloned().unwrap_or_else(|| die("--csv needs a directory")));
             }
             "--help" | "-h" => {
-                print!("{}", USAGE);
+                print!("{}", usage());
                 return;
             }
             name if experiment.is_none() && !name.starts_with('-') => {
@@ -65,75 +51,46 @@ fn main() {
     }
 
     let Some(experiment) = experiment else {
-        eprint!("{}", USAGE);
+        eprint!("{}", usage());
         std::process::exit(2);
     };
+    let selected: Vec<&Experiment> = if experiment == "all" {
+        EXPERIMENTS.iter().filter(|e| matches!(e.run, Run::Paper(_))).collect()
+    } else {
+        match EXPERIMENTS.iter().find(|e| e.name == experiment) {
+            Some(e) => vec![e],
+            None => die(&format!("unknown experiment {experiment:?}\n{}", usage())),
+        }
+    };
 
-    let tables = run_experiment(&experiment, &cfg);
-    let mut used_slugs = std::collections::HashSet::new();
-    for table in &tables {
+    let mut used_slugs = HashSet::new();
+    let mut emit = |table: &Table| {
         println!("{}", table.render());
         if let Some(dir) = &csv_dir {
             write_csv(dir, table, &mut used_slugs);
         }
-    }
-    // The ingest sweep also publishes its machine-readable artifact.
-    if let Some(table) = tables.iter().find(|t| t.title().starts_with("Parallel ingest throughput"))
-    {
-        let path = match &csv_dir {
-            Some(dir) => format!("{dir}/BENCH_ingest.json"),
-            None => "BENCH_ingest.json".to_string(),
-        };
-        std::fs::write(&path, ingest::to_json(table))
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        eprintln!("wrote {path}");
-    }
-    // ... and the routing-tier overhead sweep publishes its own.
-    if let Some(table) = tables.iter().find(|t| t.title().starts_with("Routed vs direct")) {
-        let path = match &csv_dir {
-            Some(dir) => format!("{dir}/BENCH_route.json"),
-            None => "BENCH_route.json".to_string(),
-        };
-        std::fs::write(&path, route::to_json(table))
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        eprintln!("wrote {path}");
-    }
-}
-
-fn run_experiment(name: &str, cfg: &Config) -> Vec<Table> {
-    match name {
-        "fig6" => vec![fig6::run(cfg)],
-        "headline" => headline::run(cfg),
-        "collisions" => vec![collisions::run(cfg)],
-        "variance" => vec![variance::run(cfg)],
-        "approx" => vec![approx::run(cfg)],
-        "ie-vs-hmh" => vec![ie_vs_hmh::run(cfg)],
-        "cnf-ie" => vec![cnf_ie::run(cfg)],
-        "bbit" => bbit::run(cfg),
-        "space-sweep" => vec![space_sweep::run(cfg)],
-        "cardinality" => vec![cardinality::run(cfg)],
-        "ingest" => vec![ingest::run(cfg)],
-        "route" => vec![route::run(cfg)],
-        "all" => {
-            let mut out = vec![fig6::run(cfg)];
-            out.extend(headline::run(cfg));
-            out.push(collisions::run(cfg));
-            out.push(variance::run(cfg));
-            out.push(approx::run(cfg));
-            out.push(ie_vs_hmh::run(cfg));
-            out.push(cnf_ie::run(cfg));
-            out.extend(bbit::run(cfg));
-            out.push(space_sweep::run(cfg));
-            out.push(cardinality::run(cfg));
-            out.push(ingest::run(cfg));
-            out.push(route::run(cfg));
-            out
+    };
+    for e in selected {
+        match e.run {
+            Run::Paper(run) => run(&cfg).iter().for_each(&mut emit),
+            Run::Timer(bench, run) => {
+                let table = run(&cfg);
+                emit(&table);
+                let path = match &csv_dir {
+                    Some(dir) => format!("{dir}/BENCH_{bench}.json"),
+                    None => format!("BENCH_{bench}.json"),
+                };
+                let command =
+                    format!("cargo run --release -p hmh-bench --bin repro -- {}", args.join(" "));
+                std::fs::write(&path, table.to_json(e.name, &command))
+                    .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+                eprintln!("wrote {path}");
+            }
         }
-        other => die(&format!("unknown experiment {other:?}\n{USAGE}")),
     }
 }
 
-fn write_csv(dir: &str, table: &Table, used_slugs: &mut std::collections::HashSet<String>) {
+fn write_csv(dir: &str, table: &Table, used_slugs: &mut HashSet<String>) {
     std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("cannot create {dir}: {e}")));
     // Slug from the title's leading word(s); disambiguate repeats (e.g. the
     // two headline tables) with a numeric suffix.
@@ -160,23 +117,17 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-const USAGE: &str = "\
-usage: repro <experiment> [--trials N] [--seed S] [--quick] [--csv DIR]
-
-experiments:
-  fig6         Figure 6 (256-byte sketches, J = 1/3 error vs cardinality)
-  headline     Abstract/S5 claim (64 KiB, J = 0.01 at n = 10^19)
-  collisions   Lemma 4 / Algorithm 5 / Theorem 1 collision accounting
-  variance     Theorem 2 collision variance
-  approx       Algorithm 6 vs Algorithm 5 accuracy
-  ie-vs-hmh    S1.3 HLL inclusion-exclusion / joint-MLE vs HyperMinHash
-  cnf-ie       CNF strategies: k-way registers vs inclusion-exclusion
-  bbit         S1.3-1.4 b-bit MinHash accuracy and non-composability
-  space-sweep  byte budget x r trade-off surface
-  cardinality  Algorithm 3 decade sweep with estimator ablations
-  ingest       parallel sharded ingest throughput vs. a sequential build
-               (also writes BENCH_ingest.json)
-  route        routed vs direct PUT/CARD overhead over a live 2-group
-               cluster (also writes BENCH_route.json)
-  all          everything above
-";
+fn usage() -> String {
+    let mut out =
+        String::from("usage: repro <experiment> [--trials N] [--seed S] [--quick] [--csv DIR]\n");
+    let section = |out: &mut String, heading: &str, timers: bool| {
+        let _ = writeln!(out, "\n{heading}");
+        for e in EXPERIMENTS.iter().filter(|e| matches!(e.run, Run::Timer(..)) == timers) {
+            let _ = writeln!(out, "  {:<12} {}", e.name, e.about);
+        }
+    };
+    section(&mut out, "paper experiments (deterministic; `all` runs every one):", false);
+    out.push_str("  all          every paper experiment above\n");
+    section(&mut out, "timers (each also writes BENCH_<name>.json; run by name only):", true);
+    out
+}

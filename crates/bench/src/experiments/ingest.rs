@@ -4,8 +4,8 @@
 //! Because the union is lossless, the parallel result must equal the
 //! sequential one bit for bit — the experiment asserts that on every
 //! measurement, so a throughput number can never come from a wrong
-//! sketch. Results also feed `BENCH_ingest.json` (see [`to_json`]), the
-//! artifact CI publishes.
+//! sketch. `repro ingest` publishes the table as `BENCH_ingest.json`,
+//! the artifact CI uploads.
 
 use std::time::Instant;
 
@@ -110,40 +110,6 @@ fn rate(items: usize, elapsed: f64) -> f64 {
     items as f64 / elapsed.max(1e-9)
 }
 
-/// Render the throughput table as the `BENCH_ingest.json` artifact: one
-/// object per configuration plus the item count the sweep ran at and the
-/// machine's core count. The core count is what makes a flat speedup
-/// column interpretable — on a single-core box the parallel engine cannot
-/// beat the sequential build in wall-clock, only match it bit for bit.
-pub fn to_json(table: &Table) -> String {
-    let items: String = table
-        .title()
-        .split(',')
-        .next_back()
-        .and_then(|part| part.split_whitespace().next())
-        .unwrap_or("0")
-        .to_string();
-    let cpus = std::thread::available_parallelism().map_or(1, usize::from);
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"ingest\",\n");
-    out.push_str(&format!("  \"items\": {items},\n"));
-    out.push_str(&format!("  \"cpus\": {cpus},\n"));
-    out.push_str("  \"rows\": [\n");
-    for row in 0..table.num_rows() {
-        let config = table.cell(row, table.col("config"));
-        let workers = table.cell(row, table.col("workers"));
-        let rate = table.cell_f64(row, table.col("items_per_sec"));
-        let speedup = table.cell_f64(row, table.col("speedup_vs_seq"));
-        out.push_str(&format!(
-            "    {{\"config\": \"{config}\", \"workers\": {workers}, \
-             \"items_per_sec\": {rate}, \"speedup_vs_seq\": {speedup}}}{}\n",
-            if row + 1 < table.num_rows() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,20 +124,10 @@ mod tests {
             assert_eq!(t.cell(i + 1, t.col("config")), format!("engine-{workers}"));
             assert!(t.cell_f64(i + 1, t.col("items_per_sec")) > 0.0);
         }
-    }
-
-    #[test]
-    fn json_artifact_is_well_formed() {
-        let cfg = Config { trials: 1, seed: 7, quick: true };
-        let t = run(&cfg);
-        let json = to_json(&t);
-        assert!(json.contains("\"experiment\": \"ingest\""));
-        assert!(json.contains("\"items\": 100000"));
-        assert!(json.contains("\"cpus\": "));
-        assert!(json.contains("\"config\": \"sequential\""));
-        assert!(json.contains("\"config\": \"engine-4\""));
-        // Balanced braces/brackets as a cheap structural check.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let json = t.to_json("ingest", "repro ingest");
+        assert!(json.contains("\"title\": \"Parallel ingest throughput, "));
+        assert!(json.contains("100000 items\""));
+        assert!(json.contains("{\"config\": \"sequential\", \"workers\": 0, "));
+        assert!(json.contains("{\"config\": \"engine-4\", \"workers\": 4, "));
     }
 }

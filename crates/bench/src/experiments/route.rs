@@ -6,8 +6,8 @@
 //! this experiment prices that hop. Correctness rides along: every
 //! routed CARD is asserted equal to the owning daemon's direct answer,
 //! so a throughput number can never come from a misrouted sketch.
-//! Results feed `BENCH_route.json` (see [`to_json`]), the artifact CI
-//! publishes alongside the ingest snapshot.
+//! `repro route` publishes the table as `BENCH_route.json`, the artifact
+//! CI uploads alongside the ingest snapshot.
 
 use std::time::Instant;
 
@@ -167,30 +167,6 @@ fn rate(ops: usize, elapsed: f64) -> f64 {
     ops as f64 / elapsed.max(1e-9)
 }
 
-/// Render the overhead table as the `BENCH_route.json` artifact: the
-/// machine's core count (routing is thread-bound; a single-core box
-/// serializes router and daemons) plus one object per (op, mode) row.
-pub fn to_json(table: &Table) -> String {
-    let cpus = std::thread::available_parallelism().map_or(1, usize::from);
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"route\",\n");
-    out.push_str(&format!("  \"cpus\": {cpus},\n"));
-    out.push_str("  \"rows\": [\n");
-    for row in 0..table.num_rows() {
-        let op = table.cell(row, table.col("op"));
-        let mode = table.cell(row, table.col("mode"));
-        let rate = table.cell_f64(row, table.col("ops_per_sec"));
-        let relative = table.cell_f64(row, table.col("relative_to_direct"));
-        out.push_str(&format!(
-            "    {{\"op\": \"{op}\", \"mode\": \"{mode}\", \
-             \"ops_per_sec\": {rate}, \"relative_to_direct\": {relative}}}{}\n",
-            if row + 1 < table.num_rows() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,11 +182,7 @@ mod tests {
         assert_eq!(t.cell(0, t.col("mode")), "direct");
         assert_eq!(t.cell(1, t.col("mode")), "routed");
 
-        let json = to_json(&t);
-        assert!(json.contains("\"experiment\": \"route\""));
-        assert!(json.contains("\"cpus\": "));
-        assert!(json.contains("\"op\": \"card\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let json = t.to_json("route", "repro route");
+        assert!(json.contains("{\"op\": \"card\", \"mode\": \"routed\", "));
     }
 }

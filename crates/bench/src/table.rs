@@ -1,4 +1,4 @@
-//! Aligned text tables + CSV output for experiment results.
+//! Aligned text tables, CSV and JSON output for experiment results.
 
 use std::fmt::Write as _;
 
@@ -96,6 +96,87 @@ impl Table {
         }
         out
     }
+
+    /// Render as the `BENCH_<name>.json` artifact a timing experiment
+    /// publishes: the experiment name, the table title, the machine's
+    /// core count and the `command` that regenerates it, then one object
+    /// per row keyed by the column headers. Cells that are JSON numbers
+    /// are written bare; every other cell is an escaped string.
+    pub fn to_json(&self, experiment: &str, command: &str) -> String {
+        let cpus = std::thread::available_parallelism().map_or(1, usize::from);
+        let mut out = String::from("{\n");
+        let _ = writeln!(out, "  \"experiment\": {},", json_string(experiment));
+        let _ = writeln!(out, "  \"title\": {},", json_string(&self.title));
+        let _ = writeln!(out, "  \"cpus\": {cpus},");
+        let _ = writeln!(out, "  \"command\": {},", json_string(command));
+        out.push_str("  \"rows\": [\n");
+        for (i, row) in self.rows.iter().enumerate() {
+            let fields: Vec<String> = self
+                .headers
+                .iter()
+                .zip(row)
+                .map(|(h, cell)| {
+                    let value = if is_json_number(cell) { cell.clone() } else { json_string(cell) };
+                    format!("{}: {value}", json_string(h))
+                })
+                .collect();
+            let comma = if i + 1 < self.rows.len() { "," } else { "" };
+            let _ = writeln!(out, "    {{{}}}{comma}", fields.join(", "));
+        }
+        out.push_str("  ]\n}\n");
+        out
+    }
+}
+
+/// A JSON string literal: quotes, backslashes and control characters escaped.
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if u32::from(c) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// True iff `s` is a number in JSON's grammar: `-?(0|[1-9][0-9]*)`, an
+/// optional `.[0-9]+` and an optional `[eE][+-]?[0-9]+`. (Rust's `f64`
+/// parser also takes `inf`, `NaN`, `+1` and `.5`, none of which is JSON.)
+fn is_json_number(s: &str) -> bool {
+    fn digits(b: &[u8]) -> usize {
+        b.iter().take_while(|c| c.is_ascii_digit()).count()
+    }
+    let b = s.as_bytes();
+    let mut i = usize::from(b.first() == Some(&b'-'));
+    match digits(&b[i..]) {
+        0 => return false,
+        n if n > 1 && b[i] == b'0' => return false,
+        n => i += n,
+    }
+    if b.get(i) == Some(&b'.') {
+        match digits(&b[i + 1..]) {
+            0 => return false,
+            n => i += 1 + n,
+        }
+    }
+    if matches!(b.get(i), Some(b'e' | b'E')) {
+        i += 1;
+        if matches!(b.get(i), Some(b'+' | b'-')) {
+            i += 1;
+        }
+        match digits(&b[i..]) {
+            0 => return false,
+            n => i += n,
+        }
+    }
+    i == b.len()
 }
 
 /// Format a float compactly: scientific for extremes, fixed otherwise.
@@ -136,6 +217,39 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.contains("\"1,5\""));
         assert!(csv.contains("\"say \"\"hi\"\"\""));
+    }
+
+    #[test]
+    fn json_quotes_strings_and_leaves_numbers_bare() {
+        let mut t = Table::new("say \"hi\"", &["name", "ns_per_op", "odd"]);
+        t.push_row(vec!["a\\b\"c\nd\u{1}é".into(), "1.250e-3".into(), "inf".into()]);
+        t.push_row(vec!["0".into(), "-12".into(), ".5".into()]);
+        let json = t.to_json("kernels", "repro kernels --quick");
+        assert!(json.starts_with("{\n  \"experiment\": \"kernels\",\n"), "{json}");
+        assert!(json.contains("  \"title\": \"say \\\"hi\\\"\",\n"), "{json}");
+        assert!(json.contains("  \"command\": \"repro kernels --quick\",\n"), "{json}");
+        let cpus = std::thread::available_parallelism().map_or(1, usize::from);
+        assert!(json.contains(&format!("  \"cpus\": {cpus},\n")), "{json}");
+        assert!(
+            json.contains(
+                "    {\"name\": \"a\\\\b\\\"c\\u000ad\\u0001é\", \"ns_per_op\": 1.250e-3, \"odd\": \"inf\"},\n"
+            ),
+            "{json}"
+        );
+        assert!(
+            json.contains("    {\"name\": 0, \"ns_per_op\": -12, \"odd\": \".5\"}\n  ]\n}\n"),
+            "{json}"
+        );
+    }
+
+    #[test]
+    fn json_number_grammar() {
+        for ok in ["0", "-0", "7", "12.5", "1e19", "1.000e19", "3.200e-9", "2E+3"] {
+            assert!(is_json_number(ok), "{ok}");
+        }
+        for bad in ["", "-", "01", "+1", ".5", "5.", "1e", "inf", "NaN", "0x10", "1,5", "p=8"] {
+            assert!(!is_json_number(bad), "{bad}");
+        }
     }
 
     #[test]
